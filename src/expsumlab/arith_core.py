@@ -9,7 +9,6 @@ worker count.
 from __future__ import annotations
 
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,51 +47,26 @@ def _tree_reduce(parts):
     return parts[0]
 
 
-@dataclass(frozen=True)
-class CompensatedAccumulator:
-    """Deterministic chunked summation.
+def chunked_tree_sum(n: int, chunk_fn, chunk_size: int = 1 << 16, workers: int = 1):
+    """Sum chunk_fn(lo, hi) over the fixed chunking of range(n).
 
-    The index range is cut into fixed chunks; each chunk partial is computed
-    independently (possibly on worker threads) and the partials are combined
-    by a fixed fan-in-2 tree in chunk order.  Workers only change who
+    The index range is cut into chunks of chunk_size; each chunk partial is
+    computed independently (possibly on worker threads) and the partials are
+    combined by _tree_reduce in chunk order.  Workers only change who
     computes a chunk, never the reduction shape, so the result is
     bit-identical for worker counts 1, 2, 8, ... with a fixed chunk size.
     """
-
-    chunk_size: int = 1 << 16
-
-    def _chunks(self, n: int):
-        return [(lo, min(lo + self.chunk_size, n)) for lo in range(0, n, self.chunk_size)]
-
-    def map_reduce(self, n: int, chunk_fn, workers: int = 1):
-        """Sum chunk_fn(lo, hi) over the fixed chunking of range(n)."""
-        if n <= 0:
-            return 0.0
-        chunks = self._chunks(n)
-        if workers <= 1 or len(chunks) == 1:
-            parts = [chunk_fn(lo, hi) for lo, hi in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda c: chunk_fn(*c), chunks))
-        return _tree_reduce(parts)
-
-    def sum_array(self, values, workers: int = 1):
-        values = np.asarray(values)
-        return self.map_reduce(values.shape[0], lambda lo, hi: values[lo:hi].sum(), workers)
-
-
-def pairwise_sum(values) -> float:
-    """One-shot deterministic sum of a 1-d array."""
-    return float(CompensatedAccumulator().sum_array(values))
+    chunks = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
+    if workers <= 1 or len(chunks) <= 1:
+        parts = [chunk_fn(lo, hi) for lo, hi in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda c: chunk_fn(*c), chunks))
+    return _tree_reduce(parts)
 
 
 # ---------------------------------------------------------------------------
 # fractional parts
-
-
-def frac(t: float) -> float:
-    """Fractional part in [0, 1), also for negative t."""
-    return t - math.floor(t)
 
 
 def psi_frac(t: float) -> float:
@@ -157,30 +131,6 @@ class MangoldtTable:
         if not self.lo <= d <= self.hi:
             raise IndexError(f"{d} outside table range [{self.lo}, {self.hi}]")
         return float(self.values[d - self.lo])
-
-    def sum(self, workers: int = 1) -> float:
-        return float(CompensatedAccumulator().sum_array(self.values, workers))
-
-    # flat binary segment format: little-endian int64 lo, hi, then float64 values
-    def to_bytes(self) -> bytes:
-        return struct.pack("<qq", self.lo, self.hi) + np.ascontiguousarray(
-            self.values, dtype="<f8"
-        ).tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "MangoldtTable":
-        lo, hi = struct.unpack_from("<qq", blob)
-        values = np.frombuffer(blob, dtype="<f8", offset=16).astype(np.float64)
-        return cls(lo=lo, hi=hi, values=values)
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "MangoldtTable":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
 
 
 def sieve_mangoldt(limit: int, capacity: int | None = None) -> MangoldtTable:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith_core import CompensatedAccumulator
+from .arith_core import chunked_tree_sum
 from .errors import RejectedInstanceError, TabulationMismatchError
-from .reports import VerificationReport, make_report
+from .reports import ReportRow
 
 _COEFF_TOL = 1e-9
 _ROW_CHUNK = 16
@@ -107,8 +107,7 @@ def bilinear_form(family: FunctionFamily, points: PointSet, workers: int = 1) ->
         phases = np.exp(2j * np.pi * (family.table[lo:hi] * y[np.newaxis, :]))
         return (family.coeffs[lo:hi, np.newaxis] * b[np.newaxis, :] * phases).sum()
 
-    acc = CompensatedAccumulator(chunk_size=_ROW_CHUNK)
-    return complex(acc.map_reduce(len(family), chunk, workers))
+    return complex(chunked_tree_sum(len(family), chunk, _ROW_CHUNK, workers))
 
 
 def correlation_points(points: PointSet, eta: float) -> float:
@@ -138,7 +137,7 @@ def correlation_functions(family: FunctionFamily, threshold: float) -> float:
     return float(np.sum((dist <= threshold) * (w[:, np.newaxis] * w[np.newaxis, :])))
 
 
-def lemma21_check(points: PointSet, T: float, eta: float, seed: int | None = None) -> VerificationReport:
+def lemma21_check(points: PointSet, T: float, eta: float, seed: int | None = None) -> ReportRow:
     """Spacing inequality for the mean square of a trigonometric sum.
 
     LHS is the exact integral over [-T, T] of |sum_y b(y) e(t y)|^2, expanded
@@ -157,14 +156,8 @@ def lemma21_check(points: PointSet, T: float, eta: float, seed: int | None = Non
     kernel = np.where(d == 0.0, 2.0 * T, np.sin(2.0 * np.pi * T * d) / (np.pi * safe))
     lhs = float(np.real(np.sum((b[:, np.newaxis] * np.conj(b[np.newaxis, :])) * kernel)))
     rhs = (2.0 * T + 1.0 / eta) * correlation_points(points, eta)
-    return make_report(
-        lhs,
-        rhs,
-        params={"n": len(points), "T": T, "eta": eta, "Y": points.Y},
-        seed=seed,
-        which="lemma21",
-        tol=1e-9,
-    )
+    params = {"n": len(points), "T": T, "eta": eta, "Y": points.Y}
+    return ReportRow("lemma21", "", params, lhs, rhs, lhs <= rhs * (1.0 + 1e-9), seed=seed)
 
 
 def dls_proof_constant(K: float) -> float:
@@ -205,7 +198,7 @@ def dls_check(
     K: float,
     workers: int = 1,
     seed: int | None = None,
-) -> VerificationReport:
+) -> ReportRow:
     """Compare |B|^2 against (1 + K X Y) * corr_pts(1/X) * corr_fn(K/Y).
 
     The reported ratio is certified to stay below dls_proof_constant(K);
@@ -228,29 +221,11 @@ def dls_check(
         * correlation_points(points, 1.0 / family.X)
         * correlation_functions(family, K / points.Y)
     )
-    rep = make_report(
-        lhs,
-        rhs,
-        params={
-            "members": len(family),
-            "n": len(points),
-            "K": K,
-            "X": family.X,
-            "Y": points.Y,
-        },
-        seed=seed,
-        which="dls",
-    )
+    params = {"members": len(family), "n": len(points), "K": K, "X": family.X, "Y": points.Y}
+    row = ReportRow("dls", "", params, lhs, rhs, seed=seed)
     # the pass verdict is the proof-constant assertion, not lhs <= rhs
-    return VerificationReport(
-        lhs=rep.lhs,
-        rhs=rep.rhs,
-        ratio=rep.ratio,
-        params=rep.params,
-        seed=seed,
-        which="dls",
-        passed=rep.ratio <= dls_proof_constant(K),
-    )
+    row.passed = row.ratio <= dls_proof_constant(K)
+    return row
 
 
 # ---------------------------------------------------------------------------

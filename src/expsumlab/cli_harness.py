@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -36,7 +35,6 @@ class RunConfig:
     workers: int = 1
     format: str = "csv"
     timing: bool = False
-    budget: int = 10 ** 8
     eps: float = 0.1
     baseline: str | None = None
     capacity: int | None = None
@@ -53,7 +51,7 @@ def _parse_bool(text: str) -> bool:
 
 _COERCE = {
     "seed": int, "workers": int, "format": str, "timing": _parse_bool,
-    "budget": int, "eps": float, "baseline": str, "capacity": int,
+    "eps": float, "baseline": str, "capacity": int,
 }
 
 
@@ -98,13 +96,15 @@ def resolve_config(args, environ=None) -> RunConfig:
             setattr(cfg, key, val)
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {cfg.format!r}")
+    if cfg.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     return cfg
 
 
 def _config_digest(cfg: RunConfig, extra: dict) -> str:
     # workers and timing do not influence any computed value, so they stay
     # out of the digest and runs differing only in them hash identically
-    payload = {"seed": cfg.seed, "budget": cfg.budget, "eps": cfg.eps}
+    payload = {"seed": cfg.seed, "eps": cfg.eps}
     payload.update(extra)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -130,11 +130,6 @@ def _emit(rows, cfg: RunConfig, suite_name: str, extra: dict,
               f"rhs={first.rhs!r}", file=sys.stderr)
         return 1
     return 0
-
-
-def _value_row(suite, case, value, params, seed=None) -> ReportRow:
-    return ReportRow(suite=suite, case=case, params=params, lhs=float(value),
-                     rhs=math.nan, ratio=math.nan, verdict="pass", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +183,7 @@ def _dio_single(args, cfg):
         spec = dc.PerturbationSpec(beta=args.beta, delta=delta, M=args.N,
                                    kind="mu" if kind == "B2" else "nu")
     rep = dc.dio_report(kind, eps=cfg.eps, mode=args.mode, spec=spec, **params)
-    row = ReportRow(suite="dio", case=kind, params=rep.params,
-                    lhs=float(rep.count), rhs=rep.bound,
-                    ratio=rep.count / rep.bound if rep.bound else math.nan,
-                    verdict="pass", seed=cfg.seed)
+    row = ReportRow("dio", kind, rep.params, rep.count, rep.bound, seed=cfg.seed)
     return _emit([row], cfg, "dio", params)
 
 
@@ -215,8 +207,8 @@ def _run_msum(args, cfg):
             value = fm.s_lambda_direct(args.x, workers=cfg.workers)
         else:
             value = fm.s_lambda_blocked(args.x, workers=cfg.workers)
-        row = _value_row("msum", f"{args.method}_x{args.x}", value,
-                         {"x": args.x, "method": args.method}, seed=cfg.seed)
+        row = ReportRow("msum", f"{args.method}_x{args.x}",
+                        {"x": args.x, "method": args.method}, value, seed=cfg.seed)
         return _emit([row], cfg, "msum", {"x": args.x, "method": args.method})
     res = suites.msum_suite(seed=cfg.seed, workers=cfg.workers,
                             timing=cfg.timing)
@@ -230,8 +222,8 @@ def _run_fraks(args, cfg):
         return _emit(res.rows, cfg, "fraks", {"x": args.x, "D": args.d})
     value = fm.frak_s(args.x, args.d, args.delta, capacity=cfg.capacity,
                       workers=cfg.workers)
-    row = _value_row("fraks", f"D{args.d}", value,
-                     {"x": args.x, "D": args.d, "delta": args.delta})
+    row = ReportRow("fraks", f"D{args.d}",
+                    {"x": args.x, "D": args.d, "delta": args.delta}, value)
     return _emit([row], cfg, "fraks", {"x": args.x, "D": args.d})
 
 
@@ -314,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--timing", action="store_const", const=True, default=None,
                    help="record wall times (output is no longer byte-stable)")
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--baseline", default=None,
                    help="path to an alternative baseline file")

@@ -5,7 +5,7 @@ message, so a failing run can be diagnosed from the report alone.
 """
 
 
-class CapacityError(Exception):
+class CapacityError(ValueError):
     """A requested range or term count exceeds a configured budget."""
 
 

@@ -66,9 +66,6 @@ class Monomial:
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.exps)
 
-    def with_eps(self, eps: bool = True) -> "Monomial":
-        return Monomial(exps=self.exps, eps=eps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         merged = {v: e for v, e in self.exps}
         for v, e in other.exps:

@@ -15,16 +15,15 @@ bilinear pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .arith_core import CompensatedAccumulator
+from .arith_core import chunked_tree_sum
 from .errors import CapacityError, RejectedInstanceError
 from .exponent_calc import ExponentPair
-from .reports import VerificationReport, make_report, safe_ratio
 from .seeding import DetRand, pair_uniform
 from .vaaler_psi import vaaler_phi
 from .vaughan_decomp import alpha_tables
@@ -167,8 +166,7 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1,
                 total = total + complex(term.sum())
         return total
 
-    acc = CompensatedAccumulator(chunk_size=1)
-    return complex(acc.map_reduce(H, h_chunk, workers))
+    return complex(chunked_tree_sum(H, h_chunk, 1, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -236,31 +234,6 @@ def bound_value(inst: ExpSumInstance, which, pair: ExponentPair | None = None) -
     k, lam = float(pair.kappa), float(pair.lam)
     first = (X ** k * H ** (2 + k) * M ** (2 + k) * N ** (1 + k + lam)) ** (1.0 / (2 + 2 * k))
     return (first + H * M * N ** 0.5 + (H * M) ** 0.5 * N + H * M * N / X ** 0.5) * X ** inst.epsilon
-
-
-@dataclass
-class ScanSummary:
-    max_ratio: float = 0.0
-    argmax_params: dict = field(default_factory=dict)
-    count: int = 0
-
-
-def ratio_scan(instances, which, workers: int = 1, budget: int | None = None,
-               pair: ExponentPair | None = None):
-    """Per-instance |S| / bound reports plus a max-ratio summary."""
-    reports = []
-    summary = ScanSummary()
-    for inst in instances:
-        rhs = bound_value(inst, which, pair=pair)
-        lhs = abs(eval_exp_sum(inst, workers=workers, budget=budget))
-        rep = make_report(lhs, rhs, params=inst.params_dict(), seed=inst.seed,
-                          which=str(Bound(which).value))
-        reports.append(rep)
-        summary.count += 1
-        if rep.ratio > summary.max_ratio:
-            summary.max_ratio = rep.ratio
-            summary.argmax_params = rep.params
-    return reports, summary
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ so S(x) = C x + fluctuation, where C = sum_d Lambda(d)/(d(d+1)) and the
 fluctuation is built from sawtooth sums sum Lambda(d) psi(x/(d+delta)) at
 the two shifts delta = 0, 1.  This module provides the direct and blocked
 evaluators, the constant with a certified tail bound, the windowed sawtooth
-sums and their dyadic recombination, and a log-log slope fit of the error.
+sums, and a log-log slope fit of the error.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import numpy as np
 
 from .arith_core import (
     DEFAULT_SEGMENT_CAPACITY,
-    CompensatedAccumulator,
+    chunked_tree_sum,
     mangoldt_point,
-    pairwise_sum,
     psi_frac_many,
     segment_sieve,
     sieve_mangoldt,
@@ -52,11 +51,10 @@ def s_lambda_direct(x: int, workers: int = 1) -> float:
     lam[1:] = sieve_mangoldt(x).values
 
     def chunk(lo, hi):
-        n = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        return float(pairwise_sum(lam[x // n]))
+        vals = lam[x // np.arange(lo + 1, hi + 1, dtype=np.int64)]
+        return float(chunked_tree_sum(len(vals), lambda a, b: vals[a:b].sum()))
 
-    acc = CompensatedAccumulator(chunk_size=_DIRECT_CHUNK)
-    return float(acc.map_reduce(x, chunk, workers))
+    return float(chunked_tree_sum(x, chunk, _DIRECT_CHUNK, workers))
 
 
 def blocked_block_count(x: int) -> int:
@@ -81,15 +79,15 @@ def s_lambda_blocked(x: int, workers: int = 1) -> float:
     def point_chunk(lo, hi):
         return math.fsum(mangoldt_point(x // n) for n in range(lo + 1, hi + 1))
 
-    acc = CompensatedAccumulator()
-    part1 = float(acc.map_reduce(n0, point_chunk, workers))
+    part1 = float(chunked_tree_sum(n0, point_chunk, workers=workers))
     cut = x // (n0 + 1)
     if cut == 0:
         return part1
     lam = sieve_mangoldt(cut).values
     d = np.arange(1, cut + 1, dtype=np.int64)
     counts = x // d - np.maximum(x // (d + 1), n0)
-    part2 = float(acc.sum_array(lam * counts.astype(np.float64), workers))
+    vals = lam * counts.astype(np.float64)
+    part2 = float(chunked_tree_sum(cut, lambda a, b: vals[a:b].sum(), workers=workers))
     return part1 + part2
 
 
@@ -127,14 +125,15 @@ def main_constant(T: int, capacity: int | None = None,
         raise ValueError(f"T must be an integer >= 2, got {T!r}")
     T = int(T)
     capacity = DEFAULT_SEGMENT_CAPACITY if capacity is None else capacity
-    acc = CompensatedAccumulator()
     parts = []
     lo = 1
     while lo < T:
         hi = min(T, lo + capacity)
-        table = segment_sieve(lo, hi)
         d = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        parts.append(float(acc.sum_array(table.values / (d * (d + 1.0)), workers)))
+        # no name for the table, so only d and vals outlive the iteration
+        vals = segment_sieve(lo, hi, capacity).values / (d * (d + 1.0))
+        parts.append(float(chunked_tree_sum(hi - lo, lambda a, b: vals[a:b].sum(),
+                                            workers=workers)))
         lo = hi
     return MainConstant(T=T, value=math.fsum(parts), tail_bound=tail_bound(T))
 
@@ -153,15 +152,15 @@ def _psi_window_sum(x: float, lo: int, hi: int, delta: float,
     """sum_{lo < d <= hi} Lambda(d) psi(x/(d+delta)) in fixed segment order."""
     if hi - lo > WINDOW_LIMIT:
         raise CapacityError(f"window length {hi - lo} exceeds {WINDOW_LIMIT}")
-    acc = CompensatedAccumulator()
     parts = []
     seg_lo = lo
     while seg_lo < hi:
         seg_hi = min(hi, seg_lo + capacity)
-        table = segment_sieve(seg_lo, seg_hi)
+        table = segment_sieve(seg_lo, seg_hi, capacity)
         d = np.arange(seg_lo + 1, seg_hi + 1, dtype=np.float64)
         vals = table.values * psi_frac_many(x / (d + delta))
-        parts.append(float(acc.sum_array(vals, workers)))
+        parts.append(float(chunked_tree_sum(seg_hi - seg_lo, lambda a, b: vals[a:b].sum(),
+                                            workers=workers)))
         seg_lo = seg_hi
     return math.fsum(parts)
 
@@ -196,29 +195,6 @@ def r_delta(x: float, E: float, delta: float = 0.0,
     return _psi_window_sum(x, lo, hi, delta, capacity, workers)
 
 
-def r_delta_dyadic(x: float, E: float, delta: float = 0.0,
-                   capacity: int | None = None, workers: int = 1) -> float:
-    """r_delta reassembled from dyadic blocks (x/2^j E, x/2^{j-1} E],
-    truncating the lowest block at E.  Integer endpoints are taken by floor
-    on both sides, so the blocks partition the window exactly."""
-    if E < 1:
-        raise ValueError("E must be >= 1")
-    capacity = DEFAULT_SEGMENT_CAPACITY if capacity is None else capacity
-    lo_total = int(math.floor(E))
-    hi_total = int(math.floor(x / E))
-    if hi_total <= lo_total:
-        return 0.0
-    parts = []
-    hi = hi_total
-    j = 1
-    while hi > lo_total:
-        block_lo = max(lo_total, int(math.floor(x / (2 ** j * E))))
-        parts.append(_psi_window_sum(x, block_lo, hi, delta, capacity, workers))
-        hi = block_lo
-        j += 1
-    return math.fsum(parts)
-
-
 # ---------------------------------------------------------------------------
 # error curve and slope fit
 
@@ -232,7 +208,6 @@ class ErrorCurve:
     s_values: np.ndarray
     e_values: np.ndarray
     band: np.ndarray
-    methods: tuple
     constant: MainConstant
 
 
@@ -254,7 +229,7 @@ def error_curve(grid, constant: MainConstant | None = None,
     e_vals = s_vals - constant.value * np.array(xs, dtype=np.float64)
     band = constant.tail_bound * np.array(xs, dtype=np.float64)
     return ErrorCurve(xs=xs, s_values=s_vals, e_values=e_vals, band=band,
-                      methods=tuple("blocked" for _ in xs), constant=constant)
+                      constant=constant)
 
 
 @dataclass(frozen=True)

@@ -1,60 +1,43 @@
-"""Structured results for inequality checks and CLI report rows."""
+"""The report record shared by inequality checks, suites and the CLI."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-
-
-def safe_ratio(lhs: float, rhs: float) -> float:
-    if rhs > 0.0:
-        return lhs / rhs
-    return 0.0 if lhs == 0.0 else math.inf
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of a single inequality check: measured LHS against the
-    asserted RHS, with enough parameter echo to reproduce the instance."""
-
-    lhs: float
-    rhs: float
-    ratio: float
-    params: dict
-    seed: int | None = None
-    which: str | None = None
-    passed: bool | None = None
-
-
-def make_report(lhs, rhs, params, seed=None, which=None, tol: float = 0.0) -> VerificationReport:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    return VerificationReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=safe_ratio(lhs, rhs),
-        params=dict(params),
-        seed=seed,
-        which=which,
-        passed=bool(lhs <= rhs * (1.0 + tol)),
-    )
-
+from dataclasses import dataclass
 
 CSV_COLUMNS = ("suite", "case", "params", "lhs", "rhs", "ratio", "verdict", "seed", "wall_time")
 
 
 @dataclass
 class ReportRow:
+    """Outcome of one check: measured lhs against the asserted rhs, with
+    enough parameter echo and seed to reproduce the instance.  Single-value
+    rows leave rhs at nan, which keeps their ratio nan."""
+
     suite: str
     case: str
-    params: dict = field(default_factory=dict)
-    lhs: float = math.nan
+    params: dict
+    lhs: float
     rhs: float = math.nan
-    ratio: float = math.nan
-    verdict: str = "pass"
+    passed: bool = True
     seed: int | None = None
     wall_time: float = 0.0
+
+    def __post_init__(self):
+        self.lhs = float(self.lhs)
+        self.rhs = float(self.rhs)
+
+    @property
+    def ratio(self) -> float:
+        """lhs/rhs; a zero rhs gives inf, or 0.0 when lhs is zero too."""
+        if self.rhs != 0.0:
+            return self.lhs / self.rhs
+        return math.inf if self.lhs else 0.0
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 def _fmt_float(v: float) -> str:
@@ -90,19 +73,6 @@ def rows_to_csv(rows) -> str:
 def rows_to_json(rows, meta: dict | None = None) -> str:
     payload = {
         "meta": dict(meta or {}),
-        "rows": [
-            {
-                "suite": r.suite,
-                "case": r.case,
-                "params": r.params,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "ratio": r.ratio,
-                "verdict": r.verdict,
-                "seed": r.seed,
-                "wall_time": r.wall_time,
-            }
-            for r in rows
-        ],
+        "rows": [{col: getattr(r, col) for col in CSV_COLUMNS} for r in rows],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

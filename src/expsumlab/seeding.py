@@ -81,9 +81,6 @@ class DetRand:
     def choice(self, seq):
         return seq[self.integer(0, len(seq) - 1)]
 
-    def complex_unimodular(self) -> complex:
-        return cmath.exp(2j * math.pi * self.uniform())
-
     def complex_in_disc(self) -> complex:
         # area-uniform in the closed unit disc
         r = math.sqrt(self.uniform())
@@ -91,6 +88,3 @@ class DetRand:
 
     def uniform_array(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         return np.array([self.uniform(lo, hi) for _ in range(n)])
-
-    def complex_disc_array(self, n: int) -> np.ndarray:
-        return np.array([self.complex_in_disc() for _ in range(n)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -52,13 +52,6 @@ def _finish(name: str, rows: list, t0: float, timing: bool) -> SuiteResult:
                        failures=failures, wall_time=wall)
 
 
-def _row(suite, case, params, lhs, rhs, ok, seed=None) -> ReportRow:
-    ratio = lhs / rhs if rhs not in (0, 0.0) else math.inf if lhs else 0.0
-    return ReportRow(suite=suite, case=case, params=params, lhs=float(lhs),
-                     rhs=float(rhs), ratio=float(ratio),
-                     verdict="pass" if ok else "fail", seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # sawtooth approximation
 
@@ -81,9 +74,9 @@ def vaaler_suite(seed: int = 0, count: int = 10 ** 5, h_max: int = 200,
         diff = np.abs(psi_frac_many(grp) - psi_approx_many(grp, int(H)))
         slack = diff - error_majorant_many(grp, int(H))
         worst = float(np.max(slack))
-        rows.append(_row("vaaler", f"H={int(H)}",
-                         {"H": int(H), "pairs": int(grp.size)},
-                         worst, 1e-12, worst <= 1e-12, seed=seed))
+        rows.append(ReportRow("vaaler", f"H={int(H)}",
+                              {"H": int(H), "pairs": int(grp.size)},
+                              worst, 1e-12, worst <= 1e-12, seed=seed))
     return _finish("vaaler", rows, t0, timing)
 
 
@@ -106,10 +99,7 @@ def lemma21_suite(seed: int = 0, count: int = 1000, max_points: int = 50,
         T = rng.log_uniform(0.5, 8.0)
         eta = rng.log_uniform(1e-3, 1.0 / (2.0 * T))
         rep = bs.lemma21_check(pts, T=T, eta=eta, seed=seed + i)
-        rows.append(_row("lemma21", f"i={i:04d}",
-                         {"n": n, "T": T, "eta": eta, "Y": Y},
-                         rep.lhs, rep.rhs, rep.lhs <= rep.rhs * (1 + 1e-9),
-                         seed=seed + i))
+        rows.append(replace(rep, case=f"i={i:04d}"))
     return _finish("lemma21", rows, t0, timing)
 
 
@@ -173,11 +163,11 @@ def dls_suite(seed: int = 0, count: int = 1000, workers: int = 1,
             fam, pts, K = _scenario_dls_instance(rng)
             kind = "scenario"
         res = bs.dls_check(fam, pts, K=K, workers=workers, seed=seed + i)
-        rows.append(_row("dls", f"{kind}_{i:04d}",
-                         {"kind": kind, "K": K, "members": int(fam.table.shape[0]),
-                          "points": int(pts.points.size)},
-                         res.ratio, bs.dls_proof_constant(K), res.passed,
-                         seed=seed + i))
+        rows.append(ReportRow("dls", f"{kind}_{i:04d}",
+                              {"kind": kind, "K": K, "members": int(fam.table.shape[0]),
+                               "points": int(pts.points.size)},
+                              res.ratio, bs.dls_proof_constant(K), res.passed,
+                              seed=seed + i))
     return _finish("dls", rows, t0, timing)
 
 
@@ -208,12 +198,12 @@ def dio_suite(seed: int = 0, slack: float = 4.0, timing: bool = False) -> SuiteR
     t0 = time.perf_counter()
     rows = []
     b0 = dc.count_B0(2, 2.0, 100.0)
-    rows.append(_row("dio", "exact_B0", {"N": 2, "beta": 2.0, "X": 100.0},
-                     b0, 6.0, b0 == 6))
+    rows.append(ReportRow("dio", "exact_B0", {"N": 2, "beta": 2.0, "X": 100.0},
+                          b0, 6.0, b0 == 6))
     b1 = dc.count_B1(2, 2, 1.0, 1.0, 100.0)
-    rows.append(_row("dio", "exact_B1",
-                     {"H": 2, "M": 2, "alpha": 1.0, "beta": 1.0, "X": 100.0},
-                     b1, 6.0, b1 == 6))
+    rows.append(ReportRow("dio", "exact_B1",
+                          {"H": 2, "M": 2, "alpha": 1.0, "beta": 1.0, "X": 100.0},
+                          b1, 6.0, b1 == 6))
     for kind, ladder in _DIO_LADDERS.items():
         base_c = None
         for step in ladder:
@@ -221,21 +211,21 @@ def dio_suite(seed: int = 0, slack: float = 4.0, timing: bool = False) -> SuiteR
                                 **step)
             if base_c is None:
                 base_c = rep.fitted_constant or 1.0
-                rows.append(_row("dio", f"ladder_{kind}_base", dict(step),
-                                 rep.fitted_constant, base_c, True))
+                rows.append(ReportRow("dio", f"ladder_{kind}_base", dict(step),
+                                      rep.fitted_constant, base_c, True))
                 continue
             drift = rep.fitted_constant / base_c
             ok = 1.0 / slack <= drift <= slack
             size = step.get("N") or step.get("M")
-            rows.append(_row("dio", f"ladder_{kind}_size{size}",
-                             dict(step), drift, slack, ok))
+            rows.append(ReportRow("dio", f"ladder_{kind}_size{size}",
+                                  dict(step), drift, slack, ok))
     for kind in ("B2", "B3"):
         params = {"N": 8, "gamma": 1.0, "X": 8.0}
         spec = _dio_spec(kind, params)
         fn = dc.count_B2 if kind == "B2" else dc.count_B3
         a = fn(params["N"], params["gamma"], params["X"], spec, mode="endpoint")
         b = fn(params["N"], params["gamma"], params["X"], spec, mode="scan")
-        rows.append(_row("dio", f"mode_agree_{kind}", params, a, b, a == b))
+        rows.append(ReportRow("dio", f"mode_agree_{kind}", params, a, b, a == b))
     return _finish("dio", rows, t0, timing)
 
 
@@ -269,17 +259,17 @@ def vaughan_suite(seed: int = 0, d_values=(101, 1000, 10000),
             direct = vd.direct_lambda_sum(D, g)
             err = abs(split.total - direct)
             tol = 1e-9 * (1.0 + abs(direct))
-            rows.append(_row("vaughan", f"D{D}_{case}", {"D": D, "case": case},
-                             err, tol, err <= tol, seed=seed))
+            rows.append(ReportRow("vaughan", f"D{D}_{case}", {"D": D, "case": case},
+                                  err, tol, err <= tol, seed=seed))
         x = 12.5 * D
         for delta in (0.0, 1.0):
             dec = vd.frak_s_decomposed(x, D, delta).total
             direct = fm.frak_s(x, D, delta)
             err = abs(dec - direct)
             tol = 1e-9 * (1.0 + abs(direct))
-            rows.append(_row("vaughan", f"D{D}_fraks_delta{delta:g}",
-                             {"D": D, "x": x, "delta": delta},
-                             err, tol, err <= tol, seed=seed))
+            rows.append(ReportRow("vaughan", f"D{D}_fraks_delta{delta:g}",
+                                  {"D": D, "x": x, "delta": delta},
+                                  err, tol, err <= tol, seed=seed))
     return _finish("vaughan", rows, t0, timing)
 
 
@@ -295,7 +285,7 @@ def msum_suite(seed: int = 0, random_count: int = 20, workers: int = 1,
     rows = []
     v10 = fm.s_lambda_direct(10)
     err10 = abs(v10 - math.log(60.0))
-    rows.append(_row("msum", "direct_x10", {"x": 10}, err10, 1e-12, err10 <= 1e-12))
+    rows.append(ReportRow("msum", "direct_x10", {"x": 10}, err10, 1e-12, err10 <= 1e-12))
     rng = DetRand(seed)
     xs = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
     xs += sorted(rng.integer(10, 10 ** 6) for _ in range(random_count))
@@ -303,17 +293,17 @@ def msum_suite(seed: int = 0, random_count: int = 20, workers: int = 1,
         d = fm.s_lambda_direct(x, workers=workers)
         b = fm.s_lambda_blocked(x, workers=workers)
         rel = abs(d - b) / (1.0 + abs(d))
-        rows.append(_row("msum", f"agree_x{x}", {"x": x}, rel, 1e-6,
-                         rel <= 1e-6, seed=seed))
+        rows.append(ReportRow("msum", f"agree_x{x}", {"x": x}, rel, 1e-6,
+                              rel <= 1e-6, seed=seed))
         blocks = fm.blocked_block_count(x)
         cap = 2 * (math.isqrt(x - 1) + 1) + 2 if x > 1 else 4
-        rows.append(_row("msum", f"blocks_x{x}", {"x": x}, blocks, cap,
-                         blocks <= cap, seed=seed))
+        rows.append(ReportRow("msum", f"blocks_x{x}", {"x": x}, blocks, cap,
+                              blocks <= cap, seed=seed))
     c6 = fm.main_constant(10 ** 6)
     c7 = fm.main_constant(10 ** 7)
     gap = abs(c6.value - c7.value)
-    rows.append(_row("msum", "constant_cutoffs", {"T1": 10 ** 6, "T2": 10 ** 7},
-                     gap, c6.tail_bound, gap <= c6.tail_bound))
+    rows.append(ReportRow("msum", "constant_cutoffs", {"T1": 10 ** 6, "T2": 10 ** 7},
+                          gap, c6.tail_bound, gap <= c6.tail_bound))
     return _finish("msum", rows, t0, timing)
 
 
@@ -328,11 +318,11 @@ def fraks_suite(x: float = 12345.678, d_values=(1000, 10000), delta: float = 0.5
         dec = vd.frak_s_decomposed(x, D, delta).total
         err = abs(direct - dec)
         tol = 1e-9 * (1.0 + abs(direct))
-        rows.append(_row("fraks", f"decomp_D{D}", {"x": x, "D": D, "delta": delta},
-                         err, tol, err <= tol))
+        rows.append(ReportRow("fraks", f"decomp_D{D}", {"x": x, "D": D, "delta": delta},
+                              err, tol, err <= tol))
         cheb = 0.5 * float(np.sum(segment_sieve(D, 2 * D).values))
-        rows.append(_row("fraks", f"cap_D{D}", {"x": x, "D": D, "delta": delta},
-                         abs(direct), cheb, abs(direct) <= cheb))
+        rows.append(ReportRow("fraks", f"cap_D{D}", {"x": x, "D": D, "delta": delta},
+                              abs(direct), cheb, abs(direct) <= cheb))
     return _finish("fraks", rows, t0, timing)
 
 
@@ -346,14 +336,14 @@ def fit_suite(lo: int = 10 ** 4, hi: int = 10 ** 9, points: int = 12,
     curve = fm.error_curve(grid, workers=workers)
     rows = []
     for x, s, e, b in zip(grid, curve.s_values, curve.e_values, curve.band):
-        rows.append(_row("fit", f"point_x{x}",
-                         {"x": x, "S": float(s), "band": float(b)},
-                         abs(float(e)), max(1.0, float(s)), True))
+        rows.append(ReportRow("fit", f"point_x{x}",
+                              {"x": x, "S": float(s), "band": float(b)},
+                              abs(float(e)), max(1.0, float(s)), True))
     fit = fm.fit_error_slope(curve)
-    rows.append(_row("fit", "slope",
-                     {"points": len(grid), "used": fit.used,
-                      "stderr": fit.slope_stderr, "T": curve.constant.T},
-                     fit.slope, slope_cap, fit.slope <= slope_cap))
+    rows.append(ReportRow("fit", "slope",
+                          {"points": len(grid), "used": fit.used,
+                           "stderr": fit.slope_stderr, "T": curve.constant.T},
+                          fit.slope, slope_cap, fit.slope <= slope_cap))
     return _finish("fit", rows, t0, timing)
 
 
@@ -397,12 +387,12 @@ def expsum_regression_suite(seed: int = 20260801, count: int = 24,
         rhs = ee.bound_value(inst, "thm1")
         ratio = lhs / rhs
         cap = drift * base[case]
-        rows.append(_row("expsum", case, inst.params_dict(), ratio, cap,
-                         ratio <= cap, seed=inst.seed))
+        rows.append(ReportRow("expsum", case, inst.params_dict(), ratio, cap,
+                              ratio <= cap, seed=inst.seed))
         cnt = ee.lattice_count(inst)
-        rows.append(_row("expsum", f"{case}_count", {"count": cnt}, lhs,
-                         float(cnt) * (1 + 1e-9), lhs <= cnt * (1 + 1e-9),
-                         seed=inst.seed))
+        rows.append(ReportRow("expsum", f"{case}_count", {"count": cnt}, lhs,
+                              float(cnt) * (1 + 1e-9), lhs <= cnt * (1 + 1e-9),
+                              seed=inst.seed))
     return _finish("expsum", rows, t0, timing)
 
 
@@ -428,8 +418,8 @@ def exponent_suite(timing: bool = False) -> SuiteResult:
     rows = []
 
     def exact(case, got, want):
-        rows.append(_row("expcalc", case, {"got": str(got), "want": str(want)},
-                         1.0 if got == want else 0.0, 1.0, got == want))
+        rows.append(ReportRow("expcalc", case, {"got": str(got), "want": str(want)},
+                              1.0 if got == want else 0.0, 1.0, got == want))
 
     F = Fraction
     terms = [xc.parse_monomial(t) for t in
@@ -444,9 +434,9 @@ def exponent_suite(timing: bool = False) -> SuiteResult:
                           xc.Monomial.of(x=F(1, 6), D=F(329, 570))))
     exact("rough_exponent", F(1, 2) + xc.THETA / 6, F(329, 570))
     ok_order = F(679, 760) <= F(680, 760)
-    rows.append(_row("expcalc", "shoulder_order",
-                     {"lhs": "679/760", "rhs": "680/760"},
-                     float(F(679, 760)), float(F(680, 760)), ok_order))
+    rows.append(ReportRow("expcalc", "shoulder_order",
+                          {"lhs": "679/760", "rhs": "680/760"},
+                          float(F(679, 760)), float(F(680, 760)), ok_order))
     at_t = xc.affine_in(xc.Monomial.of(x=F(1, 6), D=F(7, 12))).at(F(11, 21))
     exact("small_peak_at_t", at_t, F(17, 36))
     bp = xc.balance_pair(xc.parse_monomial("D * L^{-1}"),
@@ -459,14 +449,14 @@ def exponent_suite(timing: bool = False) -> SuiteResult:
     pipe = xc.combined_error_exponent()
     exact("pipeline_estar", pipe.e_star, F(17, 36))
     gap = xc.side_condition_gap(xc.H_EXPONENT, xc.K_EXPONENT, xc.T_RANGE)
-    rows.append(_row("expcalc", "side_condition",
-                     {"margins": str(gap.margins)}, 1.0 if gap.holds else 0.0,
-                     1.0, gap.holds))
+    rows.append(ReportRow("expcalc", "side_condition",
+                          {"margins": str(gap.margins)}, 1.0 if gap.holds else 0.0,
+                          1.0, gap.holds))
     window_ok = (xc.E_RANGE[0] >= xc.SMALL_RANGE_FLOOR
                  and xc.T_RANGE[0] <= xc.SMALL_RANGE_CEIL)
-    rows.append(_row("expcalc", "validity_window",
-                     {"e_lo": "8/17", "floor": "6/13"},
-                     1.0 if window_ok else 0.0, 1.0, window_ok))
+    rows.append(ReportRow("expcalc", "validity_window",
+                          {"e_lo": "8/17", "floor": "6/13"},
+                          1.0 if window_ok else 0.0, 1.0, window_ok))
     return _finish("expcalc", rows, t0, timing)
 
 
@@ -484,19 +474,19 @@ def sieve_suite(seed: int = 0, limit: int = 10 ** 6, window: int = 10 ** 4,
     lo = limit // 2
     seg = segment_sieve(lo, lo + window)
     err = float(np.max(np.abs(seg.values - full.values[lo: lo + window])))
-    rows.append(_row("sieve", "segment_agrees", {"limit": limit, "lo": lo},
-                     err, 0.0, err == 0.0, seed=seed))
+    rows.append(ReportRow("sieve", "segment_agrees", {"limit": limit, "lo": lo},
+                          err, 0.0, err == 0.0, seed=seed))
     rng = DetRand(seed)
     worst = 0.0
     for _ in range(200):
         d = rng.integer(2, limit)
         worst = max(worst, abs(full.value_at(d) - mangoldt_point(d)))
-    rows.append(_row("sieve", "point_agrees", {"limit": limit, "samples": 200},
-                     worst, 1e-12, worst <= 1e-12, seed=seed))
+    rows.append(ReportRow("sieve", "point_agrees", {"limit": limit, "samples": 200},
+                          worst, 1e-12, worst <= 1e-12, seed=seed))
     cheb = float(np.sum(full.values))
     envelope_ok = 0.9 * limit < cheb < 1.1 * limit
-    rows.append(_row("sieve", "chebyshev_envelope", {"limit": limit},
-                     cheb, 1.1 * limit, envelope_ok, seed=seed))
+    rows.append(ReportRow("sieve", "chebyshev_envelope", {"limit": limit},
+                          cheb, 1.1 * limit, envelope_ok, seed=seed))
     return _finish("sieve", rows, t0, timing)
 
 

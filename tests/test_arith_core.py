@@ -6,12 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expsumlab.arith_core import (
-    CompensatedAccumulator,
-    MangoldtTable,
+    chunked_tree_sum,
     integer_kth_root,
     is_prime,
     mangoldt_point,
-    pairwise_sum,
     psi_frac,
     psi_frac_many,
     segment_sieve,
@@ -65,7 +63,7 @@ def test_sieve_matches_naive():
 
 
 def test_chebyshev_psi_million():
-    total = sieve_mangoldt(10 ** 6).sum()
+    total = math.fsum(sieve_mangoldt(10 ** 6).values)
     oracle = _psi_chebyshev_oracle(10 ** 6)
     assert abs(total - oracle) <= 1e-9 * oracle
 
@@ -134,51 +132,43 @@ def test_capacity_guard():
         segment_sieve(1, 10 ** 6, capacity=10 ** 5)
 
 
-def test_table_roundtrip(tmp_path):
+def test_table_value_at_range():
     table = segment_sieve(100, 300)
-    again = MangoldtTable.from_bytes(table.to_bytes())
-    assert again.lo == table.lo and again.hi == table.hi
-    assert np.array_equal(again.values, table.values)
-    path = tmp_path / "seg.bin"
-    table.save(path)
-    loaded = MangoldtTable.load(path)
-    assert np.array_equal(loaded.values, table.values)
+    assert (table.lo, table.hi) == (101, 300)
+    assert table.value_at(101) == pytest.approx(math.log(101))
     with pytest.raises(IndexError):
         table.value_at(100)  # table covers (100, 300]
+
+
+def _array_sum(values, chunk_size, workers=1):
+    return chunked_tree_sum(len(values), lambda lo, hi: values[lo:hi].sum(),
+                            chunk_size, workers)
 
 
 def test_accumulator_worker_invariance():
     rng = DetRand(11)
     values = rng.uniform_array(30011, -1.0, 1.0)
-    acc = CompensatedAccumulator(chunk_size=512)
-    s1 = acc.sum_array(values, workers=1)
-    s2 = acc.sum_array(values, workers=2)
-    s8 = acc.sum_array(values, workers=8)
+    s1 = _array_sum(values, 512, workers=1)
+    s2 = _array_sum(values, 512, workers=2)
+    s8 = _array_sum(values, 512, workers=8)
     assert s1 == s2 == s8
 
 
 def test_accumulator_matches_fsum():
     rng = DetRand(12)
     values = rng.uniform_array(5000, -1.0, 1.0) * 10.0 ** rng.uniform_array(5000, -8, 8)
-    acc = CompensatedAccumulator(chunk_size=128)
     exact = math.fsum(values.tolist())
-    assert abs(acc.sum_array(values) - exact) <= 1e-12 * (1 + abs(exact))
+    assert abs(_array_sum(values, 128) - exact) <= 1e-12 * (1 + abs(exact))
 
 
 def test_map_reduce_complex_chunks():
     def chunk(lo, hi):
         return complex(hi - lo, 2.0 * (hi - lo))
 
-    acc = CompensatedAccumulator(chunk_size=7)
-    total = acc.map_reduce(100, chunk, workers=1)
+    total = chunked_tree_sum(100, chunk, 7, workers=1)
     assert total == complex(100, 200)
-    assert acc.map_reduce(100, chunk, workers=4) == total
-
-
-def test_pairwise_sum_vs_fsum():
-    rng = DetRand(13)
-    values = rng.uniform_array(4097, 0.0, 1.0)
-    assert abs(pairwise_sum(values) - math.fsum(values.tolist())) <= 1e-12
+    assert chunked_tree_sum(100, chunk, 7, workers=4) == total
+    assert chunked_tree_sum(0, chunk, 7) == 0.0
 
 
 def test_psi_frac_values():

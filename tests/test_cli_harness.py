@@ -13,8 +13,8 @@ from expsumlab.cli_harness import (
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for key in ("SEED", "WORKERS", "FORMAT", "TIMING", "BUDGET", "EPS",
-                "BASELINE", "CAPACITY"):
+    for key in ("SEED", "WORKERS", "FORMAT", "TIMING", "EPS", "BASELINE",
+                "CAPACITY"):
         monkeypatch.delenv(ENV_PREFIX + key, raising=False)
 
 
@@ -97,6 +97,32 @@ def test_runtime_error_exits_one(capsys):
     assert err.startswith("error:")
 
 
+def test_refused_budget_is_one_error_line(capsys):
+    rc, out, err = _run(capsys, ["msum", "--x", "10000000000000"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "blocked budget" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("via", ["flag", "env", "file"])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(capsys, tmp_path, monkeypatch, via, workers):
+    argv = ["msum", "--x", "10"]
+    if via == "flag":
+        argv = ["--workers", str(workers)] + argv
+    elif via == "env":
+        monkeypatch.setenv(ENV_PREFIX + "WORKERS", str(workers))
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"workers = {workers}\n")
+        argv = ["--config", str(cfg)] + argv
+    rc, out, err = _run(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: workers must be >= 1")
+
+
 def test_failure_reported_on_stderr(capsys, tmp_path):
     # an inflated baseline cannot fail; a zeroed one must
     zeroed = {"version": 1, "seed": 20260801, "count": 24,
@@ -147,6 +173,9 @@ def test_config_file_unknown_key(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("colour = blue\n")
     with pytest.raises(ValueError, match="unknown key"):
+        load_config_file(str(bad))
+    bad.write_text("budget = 1000\n")
+    with pytest.raises(ValueError, match="unknown key 'budget'"):
         load_config_file(str(bad))
     nokv = tmp_path / "nokv.cfg"
     nokv.write_text("just words\n")

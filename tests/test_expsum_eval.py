@@ -15,7 +15,6 @@ from expsumlab.expsum_eval import (
     eval_exp_sum,
     lattice_count,
     random_regime_instances,
-    ratio_scan,
     unimodular_coeff_a,
     unimodular_coeff_b,
 )
@@ -204,14 +203,6 @@ def test_bound_name_validation():
     with pytest.raises(ValueError):
         bound_value(_inst(), "nope")
     assert Bound("sw") is Bound.sw
-
-
-def test_ratio_scan_summary():
-    instances = random_regime_instances(5, seed=11, hmn_budget=4096)
-    reports, summary = ratio_scan(instances, "thm1")
-    assert summary.count == 5 == len(reports)
-    assert summary.max_ratio == pytest.approx(max(r.ratio for r in reports))
-    assert summary.argmax_params  # echoes the worst instance's parameters
 
 
 def test_random_regime_instances_properties():

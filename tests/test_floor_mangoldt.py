@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expsumlab import arith_core
 from expsumlab import floor_mangoldt as fm
 from expsumlab.arith_core import mangoldt_point, sieve_mangoldt
 from expsumlab.errors import CapacityError, DegenerateFitError
@@ -48,6 +49,18 @@ def test_capacity_guards():
         fm.s_lambda_direct(0)
     with pytest.raises(ValueError):
         fm.s_lambda_blocked(12.5)
+
+
+def test_capacity_reaches_segment_sieve(monkeypatch):
+    # a capacity above the sieve's own default must be passed on, not
+    # silently replaced by that default
+    want_c = fm.main_constant(10 ** 4).value
+    want_s = fm.frak_s(12345.6, 3000, 0.5)
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT_CAPACITY", 1000)
+    got_c = fm.main_constant(10 ** 4, capacity=5000).value
+    got_s = fm.frak_s(12345.6, 3000, 0.5, capacity=5000)
+    assert got_c == pytest.approx(want_c, rel=1e-12)
+    assert got_s == pytest.approx(want_s, rel=1e-12, abs=1e-9)
 
 
 def test_main_constant_hand_values():
@@ -111,7 +124,6 @@ def test_frak_s_validation():
 def test_r_delta_empty_window():
     assert fm.r_delta(100.0, 10.0) == 0.0
     assert fm.r_delta(100.0, 11.0) == 0.0
-    assert fm.r_delta_dyadic(100.0, 10.0) == 0.0
 
 
 def test_r_delta_brute_oracle():
@@ -131,15 +143,6 @@ def test_r_delta_validation():
         fm.r_delta(100.0, 2.0, delta=-0.1)
 
 
-def test_dyadic_recombination():
-    x = 10 ** 5
-    E = x ** (8.0 / 17.0)
-    for delta in (0.0, 1.0):
-        a = fm.r_delta(x, E, delta)
-        b = fm.r_delta_dyadic(x, E, delta)
-        assert abs(a - b) <= 1e-9 * (1 + abs(a))
-
-
 def test_error_curve_invariants():
     const = fm.main_constant(10 ** 4)
     curve = fm.error_curve((10 ** 4, 10 ** 5), constant=const)
@@ -147,7 +150,6 @@ def test_error_curve_invariants():
     assert np.allclose(curve.e_values,
                        curve.s_values - const.value * np.array(curve.xs))
     assert np.allclose(curve.band, const.tail_bound * np.array(curve.xs))
-    assert curve.methods == ("blocked", "blocked")
 
 
 def test_geometric_grid():
@@ -166,8 +168,7 @@ def _synthetic_curve(power, xs=(10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7)):
     e = xs_arr ** power
     const = fm.MainConstant(T=2, value=0.0, tail_bound=0.0)
     return fm.ErrorCurve(xs=tuple(xs), s_values=e.copy(), e_values=e,
-                         band=np.zeros(len(xs)), methods=("blocked",) * len(xs),
-                         constant=const)
+                         band=np.zeros(len(xs)), constant=const)
 
 
 def test_fit_recovers_synthetic_slope():
@@ -190,7 +191,7 @@ def test_fit_band_exclusion():
     big_band = fm.ErrorCurve(xs=curve.xs, s_values=curve.s_values,
                              e_values=curve.e_values,
                              band=np.full(len(curve.xs), 1e12),
-                             methods=curve.methods, constant=curve.constant)
+                             constant=curve.constant)
     with pytest.raises(DegenerateFitError):
         fm.fit_error_slope(big_band)
 
