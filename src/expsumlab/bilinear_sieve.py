@@ -254,30 +254,23 @@ def scenario_points(H: int, M: int, X: float, alpha: float, beta: float,
     return PointSet(points=y, coeffs=coeffs, Y=(2.0 ** alpha) * X)
 
 
-def pair_difference_family(N: int, gamma: float, spec, points_m: np.ndarray,
-                           weights=None) -> FunctionFamily:
+def pair_difference_family(N: int, gamma: float, spec, points_m: np.ndarray) -> FunctionFamily:
     """Members phi_{n1,n2}(m) = N^g/(n1^g + mu(m)) - N^g/(n2^g + mu(m)) for
     ordered (n1, n2) in (N,2N]^2, tabulated at the m-coordinate of each
-    point; coefficient of (n1, n2) is w(n1) conj(w(n2))."""
+    point; every member has coefficient 1."""
     from .diophantine_count import phi_pair_table
 
     table = phi_pair_table(N, gamma, spec, points_m)
-    if weights is None:
-        weights = np.ones(N, dtype=np.complex128)
-    coeffs = (weights[:, np.newaxis] * np.conj(weights[np.newaxis, :])).ravel()
-    return FunctionFamily(table=table, coeffs=coeffs, X=1.0)
+    return FunctionFamily(table=table, coeffs=np.ones(N * N), X=1.0)
 
 
-def reciprocal_family(N: int, gamma: float, spec, points_m: np.ndarray,
-                      weights=None) -> FunctionFamily:
+def reciprocal_family(N: int, gamma: float, spec, points_m: np.ndarray) -> FunctionFamily:
     """Members psi_n(m) = N^g/(n^g + nu(m)) for n in (N,2N], tabulated at the
-    m-coordinate of each point."""
+    m-coordinate of each point; every member has coefficient 1."""
     from .diophantine_count import psi_single_table
 
     table = psi_single_table(N, gamma, spec, points_m)
-    if weights is None:
-        weights = np.ones(N, dtype=np.complex128)
-    return FunctionFamily(table=table, coeffs=np.asarray(weights, dtype=np.complex128), X=1.0)
+    return FunctionFamily(table=table, coeffs=np.ones(N), X=1.0)
 
 
 def scenario_m_coordinates(H: int, M: int) -> np.ndarray:

@@ -4,9 +4,8 @@ One subcommand per component battery, plus single-evaluation modes and an
 exact-arithmetic expression calculator.  Configuration is resolved in the
 order defaults < config file < EXPSUMLAB_* environment variables < flags.
 Suite runs emit CSV or JSON rows on stdout and exit 0 exactly when every
-row passes; the first failing case is named on stderr.  Worker count and
-timing are deliberately excluded from the serialized output so that runs
-with different parallelism are byte-identical.
+row passes; the first failing case is named on stderr.  A report with no
+rows is refused, since it checked nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -32,7 +32,6 @@ ENV_PREFIX = "EXPSUMLAB_"
 @dataclass
 class RunConfig:
     seed: int = 0
-    workers: int = 1
     format: str = "csv"
     timing: bool = False
     eps: float = 0.1
@@ -50,7 +49,7 @@ def _parse_bool(text: str) -> bool:
 
 
 _COERCE = {
-    "seed": int, "workers": int, "format": str, "timing": _parse_bool,
+    "seed": int, "format": str, "timing": _parse_bool,
     "eps": float, "baseline": str, "capacity": int,
 }
 
@@ -96,14 +95,12 @@ def resolve_config(args, environ=None) -> RunConfig:
             setattr(cfg, key, val)
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {cfg.workers}")
     return cfg
 
 
 def _config_digest(cfg: RunConfig, extra: dict) -> str:
-    # workers and timing do not influence any computed value, so they stay
-    # out of the digest and runs differing only in them hash identically
+    # timing does not influence any computed value, so it stays out of the
+    # digest and runs differing only in it hash identically
     payload = {"seed": cfg.seed, "eps": cfg.eps}
     payload.update(extra)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -112,6 +109,8 @@ def _config_digest(cfg: RunConfig, extra: dict) -> str:
 
 def _emit(rows, cfg: RunConfig, suite_name: str, extra: dict,
           out=None) -> int:
+    if not rows:
+        raise ValueError(f"the {suite_name} report has no rows, so nothing was checked")
     out = sys.stdout if out is None else out
     meta = {
         "tool": "expsumlab",
@@ -136,24 +135,33 @@ def _emit(rows, cfg: RunConfig, suite_name: str, extra: dict,
 # subcommand runners
 
 
+def _suite_rows(cfg: RunConfig, suite, **kwargs) -> list:
+    """Rows of one suite call.  Under --timing every row gets the call's wall
+    time divided by its row count, not a time of its own."""
+    t0 = time.perf_counter()
+    rows = suite(**kwargs).rows
+    if cfg.timing:
+        wall = time.perf_counter() - t0
+        for r in rows:
+            r.wall_time = wall / len(rows)
+    return rows
+
+
 def _run_sieve(args, cfg):
-    res = suites.sieve_suite(seed=cfg.seed, limit=args.limit,
-                             window=args.window, timing=cfg.timing)
-    return _emit(res.rows, cfg, "sieve", {"limit": args.limit})
+    rows = _suite_rows(cfg, suites.sieve_suite, seed=cfg.seed, limit=args.limit,
+                       window=args.window)
+    return _emit(rows, cfg, "sieve", {"limit": args.limit})
 
 
 def _run_psi(args, cfg):
-    res = suites.vaaler_suite(seed=cfg.seed, count=args.count,
-                              timing=cfg.timing)
-    return _emit(res.rows, cfg, "psi", {"count": args.count})
+    rows = _suite_rows(cfg, suites.vaaler_suite, seed=cfg.seed, count=args.count)
+    return _emit(rows, cfg, "psi", {"count": args.count})
 
 
 def _run_dls(args, cfg):
-    r1 = suites.lemma21_suite(seed=cfg.seed, count=args.count,
-                              timing=cfg.timing)
-    r2 = suites.dls_suite(seed=cfg.seed, count=args.count,
-                          workers=cfg.workers, timing=cfg.timing)
-    return _emit(r1.rows + r2.rows, cfg, "dls", {"count": args.count})
+    rows = (_suite_rows(cfg, suites.lemma21_suite, seed=cfg.seed, count=args.count)
+            + _suite_rows(cfg, suites.dls_suite, seed=cfg.seed, count=args.count))
+    return _emit(rows, cfg, "dls", {"count": args.count})
 
 
 def _run_expsum(args, cfg):
@@ -161,10 +169,9 @@ def _run_expsum(args, cfg):
     if cfg.baseline:
         with open(cfg.baseline) as fh:
             baseline = json.load(fh)
-    res = suites.expsum_regression_suite(
-        count=args.count, workers=cfg.workers, baseline=baseline,
-        timing=cfg.timing)
-    return _emit(res.rows, cfg, "expsum", {"count": args.count})
+    rows = _suite_rows(cfg, suites.expsum_regression_suite, count=args.count,
+                       baseline=baseline)
+    return _emit(rows, cfg, "expsum", {"count": args.count})
 
 
 def _dio_single(args, cfg):
@@ -177,11 +184,7 @@ def _dio_single(args, cfg):
                   "beta": args.beta, "X": args.X}
     else:
         params = {"N": args.N, "gamma": args.gamma, "X": args.X}
-    spec = None
-    if kind in ("B2", "B3"):
-        delta = args.delta if args.delta is not None else (0.3 if kind == "B2" else 0.5)
-        spec = dc.PerturbationSpec(beta=args.beta, delta=delta, M=args.N,
-                                   kind="mu" if kind == "B2" else "nu")
+    spec = dc.default_spec(kind, args.N, beta=args.beta, delta=args.delta)
     rep = dc.dio_report(kind, eps=cfg.eps, mode=args.mode, spec=spec, **params)
     row = ReportRow("dio", kind, rep.params, rep.count, rep.bound, seed=cfg.seed)
     return _emit([row], cfg, "dio", params)
@@ -190,49 +193,43 @@ def _dio_single(args, cfg):
 def _run_dio(args, cfg):
     if args.kind:
         return _dio_single(args, cfg)
-    res = suites.dio_suite(seed=cfg.seed, timing=cfg.timing)
-    return _emit(res.rows, cfg, "dio", {})
+    return _emit(_suite_rows(cfg, suites.dio_suite, seed=cfg.seed), cfg, "dio", {})
 
 
 def _run_vaughan(args, cfg):
     d_values = tuple(int(v) for v in args.d_list.split(","))
-    res = suites.vaughan_suite(seed=cfg.seed, d_values=d_values,
-                               timing=cfg.timing)
-    return _emit(res.rows, cfg, "vaughan", {"d_values": list(d_values)})
+    rows = _suite_rows(cfg, suites.vaughan_suite, seed=cfg.seed, d_values=d_values)
+    return _emit(rows, cfg, "vaughan", {"d_values": list(d_values)})
 
 
 def _run_msum(args, cfg):
     if args.x is not None:
         if args.method == "direct":
-            value = fm.s_lambda_direct(args.x, workers=cfg.workers)
+            value = fm.s_lambda_direct(args.x)
         else:
-            value = fm.s_lambda_blocked(args.x, workers=cfg.workers)
+            value = fm.s_lambda_blocked(args.x)
         row = ReportRow("msum", f"{args.method}_x{args.x}",
                         {"x": args.x, "method": args.method}, value, seed=cfg.seed)
         return _emit([row], cfg, "msum", {"x": args.x, "method": args.method})
-    res = suites.msum_suite(seed=cfg.seed, workers=cfg.workers,
-                            timing=cfg.timing)
-    return _emit(res.rows, cfg, "msum", {})
+    return _emit(_suite_rows(cfg, suites.msum_suite, seed=cfg.seed), cfg, "msum", {})
 
 
 def _run_fraks(args, cfg):
     if args.check_decomposition:
-        res = suites.fraks_suite(x=args.x, d_values=(args.d,),
-                                 delta=args.delta, timing=cfg.timing)
-        return _emit(res.rows, cfg, "fraks", {"x": args.x, "D": args.d})
-    value = fm.frak_s(args.x, args.d, args.delta, capacity=cfg.capacity,
-                      workers=cfg.workers)
+        rows = _suite_rows(cfg, suites.fraks_suite, x=args.x, d_values=(args.d,),
+                           delta=args.delta)
+        return _emit(rows, cfg, "fraks", {"x": args.x, "D": args.d})
+    value = fm.frak_s(args.x, args.d, args.delta, capacity=cfg.capacity)
     row = ReportRow("fraks", f"D{args.d}",
                     {"x": args.x, "D": args.d, "delta": args.delta}, value)
     return _emit([row], cfg, "fraks", {"x": args.x, "D": args.d})
 
 
 def _run_fit(args, cfg):
-    res = suites.fit_suite(lo=args.lo, hi=args.hi, points=args.points,
-                           slope_cap=args.slope_cap, workers=cfg.workers,
-                           timing=cfg.timing)
-    return _emit(res.rows, cfg, "fit", {"lo": args.lo, "hi": args.hi,
-                                        "points": args.points})
+    rows = _suite_rows(cfg, suites.fit_suite, lo=args.lo, hi=args.hi,
+                       points=args.points, slope_cap=args.slope_cap)
+    return _emit(rows, cfg, "fit", {"lo": args.lo, "hi": args.hi,
+                                    "points": args.points})
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +251,14 @@ def _parse_assigns(pairs):
     return out
 
 
+_EXPCALC_FLAGS = {"substitute": ("terms",), "balance": ("terms",),
+                  "dominate": ("a", "b", "range")}
+
+
 def _run_expcalc(args, cfg):
+    for flag in _EXPCALC_FLAGS[args.action]:
+        if getattr(args, flag) is None:
+            raise ValueError(f"expcalc {args.action} needs --{flag}")
     if args.var is None:
         args.var = "D" if args.action == "dominate" else "E"
     if args.action == "substitute":
@@ -302,10 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--timing", action="store_const", const=True, default=None,
-                   help="record wall times (output is no longer byte-stable)")
+                   help="fill the wall_time column: each row gets its battery's "
+                        "wall time divided by the battery's row count (output "
+                        "is no longer byte-stable)")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--baseline", default=None,
                    help="path to an alternative baseline file")

@@ -71,6 +71,20 @@ class PerturbationSpec:
         return self.delta * np.asarray(ms, dtype=np.float64) ** (-self.beta)
 
 
+DEFAULT_DELTAS = {"B2": 0.3, "B3": 0.5}
+
+
+def default_spec(kind: str, N: int, beta: float = 1.0,
+                 delta: float | None = None) -> PerturbationSpec | None:
+    """The perturbation a B2 (mu) or B3 (nu) count uses on the block (N, 2N],
+    with delta from DEFAULT_DELTAS unless given; None for B0 and B1."""
+    if kind not in DEFAULT_DELTAS:
+        return None
+    delta = DEFAULT_DELTAS[kind] if delta is None else delta
+    return PerturbationSpec(beta=beta, delta=delta, M=N,
+                            kind="mu" if kind == "B2" else "nu")
+
+
 def phi_pair(n_s: int, n_t: int, m: int, spec: PerturbationSpec, N: int, gamma: float) -> float:
     """N^g/(n_s^g + mu(m)) - N^g/(n_t^g + mu(m))."""
     mu = spec.value(m)
@@ -165,42 +179,44 @@ def _regime_warn(spec: PerturbationSpec, N: int, gamma: float, X: float) -> bool
 # counters
 
 
-def _count_b0(N: int, beta: float, X: float, budget: int) -> tuple[int, int]:
+def _check_tuples(what: str, tuples: int) -> None:
+    if tuples > DEFAULT_TUPLE_BUDGET:
+        raise CapacityError(
+            f"{what} = {tuples} exceeds tuple budget {DEFAULT_TUPLE_BUDGET}")
+
+
+def _count_b0(N: int, beta: float, X: float) -> tuple[int, int]:
     if N < 1 or not X > 0:
         raise ValueError("need N >= 1 and X > 0")
-    if N ** 4 > budget:
-        raise CapacityError(f"N^4 = {N ** 4} exceeds tuple budget {budget}")
+    _check_tuples("N^4", N ** 4)
     n = np.arange(N + 1, 2 * N + 1, dtype=np.float64) ** beta / float(N) ** beta
     sums = (n[:, np.newaxis] + n[np.newaxis, :]).ravel()
     return _count_close_pairs(sums, 1.0 / X)
 
 
-def count_B0(N: int, beta: float, X: float, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    return _count_b0(N, beta, X, budget)[0]
+def count_B0(N: int, beta: float, X: float) -> int:
+    return _count_b0(N, beta, X)[0]
 
 
-def _count_b1(H: int, M: int, alpha: float, beta: float, X: float, budget: int) -> tuple[int, int]:
+def _count_b1(H: int, M: int, alpha: float, beta: float, X: float) -> tuple[int, int]:
     if H < 1 or M < 1 or not X > 0:
         raise ValueError("need H, M >= 1 and X > 0")
-    if (H * M) ** 2 > budget:
-        raise CapacityError(f"(HM)^2 = {(H * M) ** 2} exceeds tuple budget {budget}")
+    _check_tuples("(HM)^2", (H * M) ** 2)
     h = np.arange(H + 1, 2 * H + 1, dtype=np.float64) ** alpha
     m = np.arange(M + 1, 2 * M + 1, dtype=np.float64) ** beta
     vals = (h[:, np.newaxis] * m[np.newaxis, :]).ravel() / (float(H) ** alpha * float(M) ** beta)
     return _count_close_pairs(vals, 1.0 / X)
 
 
-def count_B1(H: int, M: int, alpha: float, beta: float, X: float,
-             budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    return _count_b1(H, M, alpha, beta, X, budget)[0]
+def count_B1(H: int, M: int, alpha: float, beta: float, X: float) -> int:
+    return _count_b1(H, M, alpha, beta, X)[0]
 
 
-def _count_b2(N: int, gamma: float, X: float, spec: PerturbationSpec, mode: str,
-              budget: int) -> tuple[int, int, bool]:
+def _count_b2(N: int, gamma: float, X: float, spec: PerturbationSpec,
+              mode: str) -> tuple[int, int, bool]:
     if N < 1 or not X > 0 or not gamma > 0:
         raise ValueError("need N >= 1, gamma > 0 and X > 0")
-    if N ** 4 > budget:
-        raise CapacityError(f"N^4 = {N ** 4} exceeds tuple budget {budget}")
+    _check_tuples("N^4", N ** 4)
     in_regime = _regime_warn(spec, N, gamma, X)
     table = phi_pair_table(N, gamma, spec, _scan_ms(spec, mode))
     hi, lo = _member_extrema(table)
@@ -209,16 +225,15 @@ def _count_b2(N: int, gamma: float, X: float, spec: PerturbationSpec, mode: str,
 
 
 def count_B2(N: int, gamma: float, X: float, spec: PerturbationSpec,
-             mode: str = "endpoint", budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    return _count_b2(N, gamma, X, spec, mode, budget)[0]
+             mode: str = "endpoint") -> int:
+    return _count_b2(N, gamma, X, spec, mode)[0]
 
 
-def _count_b3(N: int, gamma: float, X: float, spec: PerturbationSpec, mode: str,
-              budget: int) -> tuple[int, int, bool]:
+def _count_b3(N: int, gamma: float, X: float, spec: PerturbationSpec,
+              mode: str) -> tuple[int, int, bool]:
     if N < 1 or not X > 0 or not gamma > 0:
         raise ValueError("need N >= 1, gamma > 0 and X > 0")
-    if N ** 2 > budget:
-        raise CapacityError(f"N^2 = {N ** 2} exceeds tuple budget {budget}")
+    _check_tuples("N^2", N ** 2)
     in_regime = _regime_warn(spec, N, gamma, X)
     table = psi_single_table(N, gamma, spec, _scan_ms(spec, mode))
     hi, lo = _member_extrema(table)
@@ -227,8 +242,8 @@ def _count_b3(N: int, gamma: float, X: float, spec: PerturbationSpec, mode: str,
 
 
 def count_B3(N: int, gamma: float, X: float, spec: PerturbationSpec,
-             mode: str = "endpoint", budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    return _count_b3(N, gamma, X, spec, mode, budget)[0]
+             mode: str = "endpoint") -> int:
+    return _count_b3(N, gamma, X, spec, mode)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +284,25 @@ class DioResult:
 
 
 def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
-               spec: PerturbationSpec | None = None,
-               budget: int = DEFAULT_TUPLE_BUDGET, **params) -> DioResult:
+               spec: PerturbationSpec | None = None, **params) -> DioResult:
     """Count + bound + boundary tally in one record."""
     in_regime = True
     if kind == "B0":
-        count, boundary = _count_b0(params["N"], params["beta"], params["X"], budget)
+        count, boundary = _count_b0(params["N"], params["beta"], params["X"])
         bound = dio_bound("B0", eps=eps, N=params["N"], X=params["X"])
     elif kind == "B1":
         count, boundary = _count_b1(
-            params["H"], params["M"], params["alpha"], params["beta"], params["X"], budget
+            params["H"], params["M"], params["alpha"], params["beta"], params["X"]
         )
         bound = dio_bound("B1", eps=eps, H=params["H"], M=params["M"], X=params["X"])
     elif kind == "B2":
         count, boundary, in_regime = _count_b2(
-            params["N"], params["gamma"], params["X"], spec, mode, budget
+            params["N"], params["gamma"], params["X"], spec, mode
         )
         bound = dio_bound("B2", eps=eps, N=params["N"], X=params["X"])
     elif kind == "B3":
         count, boundary, in_regime = _count_b3(
-            params["N"], params["gamma"], params["X"], spec, mode, budget
+            params["N"], params["gamma"], params["X"], spec, mode
         )
         bound = dio_bound("B3", eps=eps, N=params["N"], X=params["X"])
     else:

@@ -6,10 +6,6 @@ parameterized as D = x^t with t in a rational interval (each exponent is then
 affine in t, so endpoint checks decide), and piecewise-linear minimax
 balancing of a free parameter.
 
-Monomials may carry an `eps` flag standing for an extra factor x^eps with eps
-arbitrarily small; the flag is excluded from all comparisons since it never
-decides a strict inequality.
-
 Text grammar (CLI-facing): monomials are `*`-separated factors, each a
 variable name optionally followed by `^{p/q}` (braces) or `^p` / `^p/q`
 (unambiguous bare token); bound expressions are comma-separated monomials.
@@ -38,10 +34,9 @@ class Monomial:
     """Product of variables raised to rational powers, implied coefficient 1."""
 
     exps: tuple[tuple[str, Fraction], ...]
-    eps: bool = False
 
     @classmethod
-    def of(cls, eps: bool = False, **exponents) -> "Monomial":
+    def of(cls, **exponents) -> "Monomial":
         items = []
         for var, e in exponents.items():
             if var not in _VAR_ORDER:
@@ -50,11 +45,11 @@ class Monomial:
             if e != 0:
                 items.append((var, e))
         items.sort(key=lambda it: _VAR_ORDER[it[0]])
-        return cls(exps=tuple(items), eps=eps)
+        return cls(exps=tuple(items))
 
     @classmethod
     def one(cls) -> "Monomial":
-        return cls(exps=(), eps=False)
+        return cls(exps=())
 
     def exponent(self, var: str) -> Fraction:
         for v, e in self.exps:
@@ -70,14 +65,14 @@ class Monomial:
         merged = {v: e for v, e in self.exps}
         for v, e in other.exps:
             merged[v] = merged.get(v, Fraction(0)) + e
-        return Monomial.of(eps=self.eps or other.eps, **merged)
+        return Monomial.of(**merged)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         return self * other ** Fraction(-1)
 
     def __pow__(self, power) -> "Monomial":
         power = Fraction(power)
-        return Monomial.of(eps=self.eps, **{v: e * power for v, e in self.exps})
+        return Monomial.of(**{v: e * power for v, e in self.exps})
 
     def substitute(self, var: str, replacement: "Monomial") -> "Monomial":
         """Replace var by the replacement monomial, exactly."""
@@ -86,7 +81,7 @@ class Monomial:
         e = self.exponent(var)
         if e == 0:
             return self
-        rest = Monomial.of(eps=self.eps, **{v: p for v, p in self.exps if v != var})
+        rest = Monomial.of(**{v: p for v, p in self.exps if v != var})
         return rest * replacement ** e
 
     def __str__(self) -> str:
@@ -424,19 +419,16 @@ def segment_bound_small() -> BoundExpr:
     return BoundExpr.of(Monomial.of(x=Fraction(1, 6), D=Fraction(7, 12)))
 
 
-def rough_segment_terms(theta: Fraction = THETA) -> BoundExpr:
+def rough_segment_terms() -> BoundExpr:
     """Pre-reduction bound for the two rough-variable sums over a dyadic
-    segment, in x, D, H, K, with the splitting parameter theta in (1/3, 1/2):
-    D H^{-1} + x^{1/4} D^{3/8} K^{1/4} + D^{1-theta/4} K^{1/2}
-    + x^{1/6} D^{1/2+theta/6} + D^{8/9}."""
-    theta = Fraction(theta)
-    if not Fraction(1, 3) < theta < Fraction(1, 2):
-        raise ValueError("theta must lie in (1/3, 1/2)")
+    segment, in x, D, H, K, with the splitting parameter THETA in (1/3, 1/2):
+    D H^{-1} + x^{1/4} D^{3/8} K^{1/4} + D^{1-THETA/4} K^{1/2}
+    + x^{1/6} D^{1/2+THETA/6} + D^{8/9}."""
     return BoundExpr.of(
         Monomial.of(D=1, H=-1),
         Monomial.of(x=Fraction(1, 4), D=Fraction(3, 8), K=Fraction(1, 4)),
-        Monomial.of(D=1 - theta / 4, K=Fraction(1, 2)),
-        Monomial.of(x=Fraction(1, 6), D=Fraction(1, 2) + theta / 6),
+        Monomial.of(D=1 - THETA / 4, K=Fraction(1, 2)),
+        Monomial.of(x=Fraction(1, 6), D=Fraction(1, 2) + THETA / 6),
         Monomial.of(D=Fraction(8, 9)),
     )
 
@@ -447,29 +439,26 @@ class ReductionResult:
     certificates: tuple[tuple[str, DominanceResult], ...]
 
 
-def reduce_rough_segment(theta: Fraction = THETA,
-                         h_exp: Fraction = H_EXPONENT,
-                         k_exp: Fraction = K_EXPONENT,
-                         t_range: tuple = T_RANGE) -> ReductionResult:
-    """Substitute H = D^{h_exp}, K = D^{k_exp} into rough_segment_terms and
-    drop every term dominated by the survivors over D = x^t, t in t_range.
+def reduce_rough_segment() -> ReductionResult:
+    """Substitute H = D^{H_EXPONENT}, K = D^{K_EXPONENT} into
+    rough_segment_terms and drop every term dominated by the survivors over
+    D = x^t, t in T_RANGE.
 
-    At the default parameters the survivors are D^{17/19} and
-    x^{1/6} D^{329/570}; each dropped term carries an endpoint-dominance
-    certificate."""
-    assignments = {"H": Monomial.of(D=h_exp), "K": Monomial.of(D=k_exp)}
-    raw = rough_segment_terms(theta)
+    The survivors are D^{17/19} and x^{1/6} D^{329/570}; each dropped term
+    carries an endpoint-dominance certificate."""
+    assignments = {"H": Monomial.of(D=H_EXPONENT), "K": Monomial.of(D=K_EXPONENT)}
+    raw = rough_segment_terms()
     for v, repl in assignments.items():
         raw = raw.substitute(v, repl)
     survivors = BoundExpr.of(
-        Monomial.of(D=1 - Fraction(h_exp)),
-        Monomial.of(x=Fraction(1, 6), D=Fraction(1, 2) + Fraction(theta) / 6),
+        Monomial.of(D=1 - H_EXPONENT),
+        Monomial.of(x=Fraction(1, 6), D=Fraction(1, 2) + THETA / 6),
     )
     certs = []
     for term in raw.terms:
         if term in survivors.terms:
             continue
-        res = dominance_check(term, survivors, *t_range)
+        res = dominance_check(term, survivors, *T_RANGE)
         certs.append((str(term), res))
         if not res.holds:
             raise AssertionError(
@@ -535,23 +524,21 @@ class GapResult:
     margins: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
 
-def side_condition_gap(h_exp: Fraction = H_EXPONENT,
-                       k_exp: Fraction = K_EXPONENT,
-                       t_range: tuple = T_RANGE) -> GapResult:
+def side_condition_gap() -> GapResult:
     """Strict exponent gap behind the smallness condition x H'/(M N) = o(D K).
 
-    With H' <= K D^{13/380} = D^{h_exp} and M N of size D, the left side is at
-    most x D^{h_exp - 1} and the right side is D^{1 + k_exp}.  The gap is
-    certified as a STRICT exponent inequality at both endpoints of t = log_x D
-    (affine in t, so that settles the whole range); the unquantified constant
-    in the o(.) itself is out of scope."""
-    lhs = Monomial.of(x=1, D=Fraction(h_exp) - 1)
-    rhs = Monomial.of(D=1 + Fraction(k_exp))
+    With H' <= K D^{13/380} = D^{H_EXPONENT} and M N of size D, the left side
+    is at most x D^{H_EXPONENT - 1} and the right side is D^{1 + K_EXPONENT}.
+    The gap is certified as a STRICT exponent inequality at both endpoints of
+    t = log_x D in T_RANGE (affine in t, so that settles the whole range); the
+    unquantified constant in the o(.) itself is out of scope."""
+    lhs = Monomial.of(x=1, D=H_EXPONENT - 1)
+    rhs = Monomial.of(D=1 + K_EXPONENT)
     fl = affine_in(lhs)
     fr = affine_in(rhs)
     margins = []
     holds = True
-    for t in (Fraction(t_range[0]), Fraction(t_range[1])):
+    for t in T_RANGE:
         a, b = fl.at(t), fr.at(t)
         margins.append((t, a, b))
         if not a < b:

@@ -121,18 +121,18 @@ def _checked_coeffs(values, what: str) -> np.ndarray:
     return out
 
 
-def eval_exp_sum(inst: ExpSumInstance, workers: int = 1,
-                 budget: int | None = None, negate_x: bool = False) -> complex:
+def eval_exp_sum(inst: ExpSumInstance, workers: int = 1) -> complex:
     """The triple sum, chunked per h with a fixed inner m-block order, so the
     result is bit-identical for any worker count.
 
     The full phase product is reduced mod 1 in double precision; instances
     whose peak phase exceeds 2^46 are rejected rather than silently losing
-    the fractional part."""
-    budget = DEFAULT_TERM_BUDGET if budget is None else budget
+    the fractional part.  Instances with more than DEFAULT_TERM_BUDGET
+    lattice points are rejected as well."""
     count = lattice_count(inst)
-    if count > budget:
-        raise CapacityError(f"{count} terms exceed the term budget {budget}")
+    if count > DEFAULT_TERM_BUDGET:
+        raise CapacityError(
+            f"{count} terms exceed the term budget {DEFAULT_TERM_BUDGET}")
     H, M, N = inst.H, inst.M, inst.N
     m = np.arange(M + 1, 2 * M + 1, dtype=np.int64)
     n = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
@@ -145,7 +145,6 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1,
             f"peak phase {peak:.3g} exceeds the precision guard 2^46"
         )
     b = _checked_coeffs(inst.coeff_b(n), "coeff_b")
-    sign = -1.0 if negate_x else 1.0
     row_block = max(1, _INNER_TERMS // N)
     clip = inst.mn_clip
 
@@ -153,7 +152,7 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1,
         total = 0.0 + 0.0j
         for ih in range(lo, hi):
             h = H + 1 + ih
-            ph = sign * c0 * float(h) ** inst.alpha
+            ph = c0 * float(h) ** inst.alpha
             a_row = _checked_coeffs(inst.coeff_a(h, m), f"coeff_a at h={h}")
             for s in range(0, M, row_block):
                 e = s + min(row_block, M - s)

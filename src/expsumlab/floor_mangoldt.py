@@ -148,7 +148,7 @@ def best_constant(T: int = DEFAULT_BEST_T) -> MainConstant:
 
 
 def _psi_window_sum(x: float, lo: int, hi: int, delta: float,
-                    capacity: int, workers: int) -> float:
+                    capacity: int) -> float:
     """sum_{lo < d <= hi} Lambda(d) psi(x/(d+delta)) in fixed segment order."""
     if hi - lo > WINDOW_LIMIT:
         raise CapacityError(f"window length {hi - lo} exceeds {WINDOW_LIMIT}")
@@ -159,14 +159,13 @@ def _psi_window_sum(x: float, lo: int, hi: int, delta: float,
         table = segment_sieve(seg_lo, seg_hi, capacity)
         d = np.arange(seg_lo + 1, seg_hi + 1, dtype=np.float64)
         vals = table.values * psi_frac_many(x / (d + delta))
-        parts.append(float(chunked_tree_sum(seg_hi - seg_lo, lambda a, b: vals[a:b].sum(),
-                                            workers=workers)))
+        parts.append(float(chunked_tree_sum(seg_hi - seg_lo, lambda a, b: vals[a:b].sum())))
         seg_lo = seg_hi
     return math.fsum(parts)
 
 
 def frak_s(x: float, D: int, delta: float = 0.0,
-           capacity: int | None = None, workers: int = 1) -> float:
+           capacity: int | None = None) -> float:
     """sum_{D < d <= 2D} Lambda(d) psi(x/(d+delta))."""
     if x < 3:
         raise ValueError("x must be >= 3")
@@ -176,11 +175,11 @@ def frak_s(x: float, D: int, delta: float = 0.0,
         raise ValueError("delta must be nonnegative")
     D = int(D)
     capacity = DEFAULT_SEGMENT_CAPACITY if capacity is None else capacity
-    return _psi_window_sum(x, D, 2 * D, delta, capacity, workers)
+    return _psi_window_sum(x, D, 2 * D, delta, capacity)
 
 
 def r_delta(x: float, E: float, delta: float = 0.0,
-            capacity: int | None = None, workers: int = 1) -> float:
+            capacity: int | None = None) -> float:
     """sum_{E < d <= x/E} Lambda(d) psi(x/(d+delta)); 0 when the window is
     empty (E >= sqrt(x))."""
     if E < 1:
@@ -192,7 +191,7 @@ def r_delta(x: float, E: float, delta: float = 0.0,
     if hi <= lo:
         return 0.0
     capacity = DEFAULT_SEGMENT_CAPACITY if capacity is None else capacity
-    return _psi_window_sum(x, lo, hi, delta, capacity, workers)
+    return _psi_window_sum(x, lo, hi, delta, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +219,11 @@ def geometric_grid(lo: int = 10 ** 4, hi: int = 10 ** 9, points: int = 12):
     return tuple(xs)
 
 
-def error_curve(grid, constant: MainConstant | None = None,
-                workers: int = 1) -> ErrorCurve:
+def error_curve(grid, constant: MainConstant | None = None) -> ErrorCurve:
     if constant is None:
         constant = best_constant()
     xs = tuple(_check_x(x) for x in grid)
-    s_vals = np.array([s_lambda_blocked(x, workers=workers) for x in xs])
+    s_vals = np.array([s_lambda_blocked(x) for x in xs])
     e_vals = s_vals - constant.value * np.array(xs, dtype=np.float64)
     band = constant.tail_bound * np.array(xs, dtype=np.float64)
     return ErrorCurve(xs=xs, s_values=s_vals, e_values=e_vals, band=band,

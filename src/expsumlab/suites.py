@@ -2,16 +2,14 @@
 
 Each suite runs a fixed, seeded battery of checks against one component and
 returns a SuiteResult whose rows are byte-stable: given the same seed and
-budgets, every float in every row is identical regardless of worker count.
-Wall times are only recorded when timing is requested, so that timed runs
-are the only ones whose serialized output varies.
+sizes, every float in every row is identical from run to run.  Rows leave
+wall_time at 0.0; timing a battery is the caller's business.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
@@ -39,28 +37,20 @@ class SuiteResult:
     passed: bool
     rows: list
     failures: list = field(default_factory=list)
-    wall_time: float = 0.0
 
 
-def _finish(name: str, rows: list, t0: float, timing: bool) -> SuiteResult:
+def _finish(name: str, rows: list) -> SuiteResult:
     failures = [r.case for r in rows if r.verdict != "pass"]
-    wall = time.perf_counter() - t0 if timing else 0.0
-    if timing:
-        for r in rows:
-            r.wall_time = wall / max(1, len(rows))
-    return SuiteResult(name=name, passed=not failures, rows=rows,
-                       failures=failures, wall_time=wall)
+    return SuiteResult(name=name, passed=not failures, rows=rows, failures=failures)
 
 
 # ---------------------------------------------------------------------------
 # sawtooth approximation
 
 
-def vaaler_suite(seed: int = 0, count: int = 10 ** 5, h_max: int = 200,
-                 timing: bool = False) -> SuiteResult:
+def vaaler_suite(seed: int = 0, count: int = 10 ** 5, h_max: int = 200) -> SuiteResult:
     """Seeded (x, H) pairs, one tenth nudged to within 1e-9 of an integer;
     the approximation error must stay under the majorant plus 1e-12."""
-    t0 = time.perf_counter()
     idx = np.arange(count)
     hs = 1 + np.floor(pair_uniform(seed, idx, 0) * h_max).astype(np.int64)
     hs = np.minimum(hs, h_max)
@@ -77,18 +67,16 @@ def vaaler_suite(seed: int = 0, count: int = 10 ** 5, h_max: int = 200,
         rows.append(ReportRow("vaaler", f"H={int(H)}",
                               {"H": int(H), "pairs": int(grp.size)},
                               worst, 1e-12, worst <= 1e-12, seed=seed))
-    return _finish("vaaler", rows, t0, timing)
+    return _finish("vaaler", rows)
 
 
 # ---------------------------------------------------------------------------
 # counting inequality and dispersion
 
 
-def lemma21_suite(seed: int = 0, count: int = 1000, max_points: int = 50,
-                  timing: bool = False) -> SuiteResult:
+def lemma21_suite(seed: int = 0, count: int = 1000, max_points: int = 50) -> SuiteResult:
     """Random well-spaced-free point sets: the pair count at separation eta
     is controlled by the exact oscillatory kernel sum."""
-    t0 = time.perf_counter()
     rows = []
     for i in range(count):
         rng = DetRand(seed, stream=i)
@@ -100,7 +88,7 @@ def lemma21_suite(seed: int = 0, count: int = 1000, max_points: int = 50,
         eta = rng.log_uniform(1e-3, 1.0 / (2.0 * T))
         rep = bs.lemma21_check(pts, T=T, eta=eta, seed=seed + i)
         rows.append(replace(rep, case=f"i={i:04d}"))
-    return _finish("lemma21", rows, t0, timing)
+    return _finish("lemma21", rows)
 
 
 def _synthetic_dls_instance(rng: DetRand):
@@ -147,12 +135,10 @@ def _scenario_dls_instance(rng: DetRand):
     return fam, pts, K
 
 
-def dls_suite(seed: int = 0, count: int = 1000, workers: int = 1,
-              timing: bool = False) -> SuiteResult:
+def dls_suite(seed: int = 0, count: int = 1000) -> SuiteResult:
     """Bilinear forms against the dispersion bound: the observed ratio must
     stay within the proof constant for every precondition-satisfying
     instance, synthetic and scenario-derived alike."""
-    t0 = time.perf_counter()
     rows = []
     for i in range(count):
         rng = DetRand(seed, stream=i)
@@ -162,13 +148,13 @@ def dls_suite(seed: int = 0, count: int = 1000, workers: int = 1,
         else:
             fam, pts, K = _scenario_dls_instance(rng)
             kind = "scenario"
-        res = bs.dls_check(fam, pts, K=K, workers=workers, seed=seed + i)
+        res = bs.dls_check(fam, pts, K=K, seed=seed + i)
         rows.append(ReportRow("dls", f"{kind}_{i:04d}",
                               {"kind": kind, "K": K, "members": int(fam.table.shape[0]),
                                "points": int(pts.points.size)},
                               res.ratio, bs.dls_proof_constant(K), res.passed,
                               seed=seed + i))
-    return _finish("dls", rows, t0, timing)
+    return _finish("dls", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +168,11 @@ _DIO_LADDERS = {
     "B2": [{"N": n, "gamma": 1.0, "X": float(n)} for n in (4, 8, 16)],
     "B3": [{"N": n, "gamma": 1.0, "X": float(n)} for n in (4, 8, 16, 32)],
 }
-_DIO_DELTAS = {"B2": 0.3, "B3": 0.5}
 
 
-def _dio_spec(kind: str, params: dict):
-    if kind in ("B0", "B1"):
-        return None
-    return dc.PerturbationSpec(beta=1.0, delta=_DIO_DELTAS[kind],
-                               M=params["N"], kind="mu" if kind == "B2" else "nu")
-
-
-def dio_suite(seed: int = 0, slack: float = 4.0, timing: bool = False) -> SuiteResult:
+def dio_suite(seed: int = 0, slack: float = 4.0) -> SuiteResult:
     """Frozen exact counts, doubling ladders with a fitted constant that may
     drift by at most the slack factor, and endpoint-vs-scan agreement."""
-    t0 = time.perf_counter()
     rows = []
     b0 = dc.count_B0(2, 2.0, 100.0)
     rows.append(ReportRow("dio", "exact_B0", {"N": 2, "beta": 2.0, "X": 100.0},
@@ -207,8 +184,8 @@ def dio_suite(seed: int = 0, slack: float = 4.0, timing: bool = False) -> SuiteR
     for kind, ladder in _DIO_LADDERS.items():
         base_c = None
         for step in ladder:
-            rep = dc.dio_report(kind, mode="endpoint", spec=_dio_spec(kind, step),
-                                **step)
+            rep = dc.dio_report(kind, mode="endpoint",
+                                spec=dc.default_spec(kind, step.get("N")), **step)
             if base_c is None:
                 base_c = rep.fitted_constant or 1.0
                 rows.append(ReportRow("dio", f"ladder_{kind}_base", dict(step),
@@ -221,12 +198,12 @@ def dio_suite(seed: int = 0, slack: float = 4.0, timing: bool = False) -> SuiteR
                                   dict(step), drift, slack, ok))
     for kind in ("B2", "B3"):
         params = {"N": 8, "gamma": 1.0, "X": 8.0}
-        spec = _dio_spec(kind, params)
+        spec = dc.default_spec(kind, params["N"])
         fn = dc.count_B2 if kind == "B2" else dc.count_B3
         a = fn(params["N"], params["gamma"], params["X"], spec, mode="endpoint")
         b = fn(params["N"], params["gamma"], params["X"], spec, mode="scan")
         rows.append(ReportRow("dio", f"mode_agree_{kind}", params, a, b, a == b))
-    return _finish("dio", rows, t0, timing)
+    return _finish("dio", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +222,10 @@ def _vaughan_cases(seed: int, D: int, random_count: int = 20):
         )
 
 
-def vaughan_suite(seed: int = 0, d_values=(101, 1000, 10000),
-                  timing: bool = False) -> SuiteResult:
+def vaughan_suite(seed: int = 0, d_values=(101, 1000, 10000)) -> SuiteResult:
     """The six-table decomposition must reproduce the direct Mangoldt block
     sum to 1e-9 relative for constant, sawtooth, and random weights, and the
     decomposed sawtooth block must match its direct evaluator."""
-    t0 = time.perf_counter()
     rows = []
     for D in d_values:
         tables = vd.alpha_tables(D)
@@ -270,18 +245,16 @@ def vaughan_suite(seed: int = 0, d_values=(101, 1000, 10000),
             rows.append(ReportRow("vaughan", f"D{D}_fraks_delta{delta:g}",
                                   {"D": D, "x": x, "delta": delta},
                                   err, tol, err <= tol, seed=seed))
-    return _finish("vaughan", rows, t0, timing)
+    return _finish("vaughan", rows)
 
 
 # ---------------------------------------------------------------------------
 # floor-ratio Mangoldt sum
 
 
-def msum_suite(seed: int = 0, random_count: int = 20, workers: int = 1,
-               timing: bool = False) -> SuiteResult:
+def msum_suite(seed: int = 0, random_count: int = 20) -> SuiteResult:
     """Direct-vs-blocked agreement, the hand value at x = 10, the block-count
     budget, and the two-cutoff stability of the main constant."""
-    t0 = time.perf_counter()
     rows = []
     v10 = fm.s_lambda_direct(10)
     err10 = abs(v10 - math.log(60.0))
@@ -290,8 +263,8 @@ def msum_suite(seed: int = 0, random_count: int = 20, workers: int = 1,
     xs = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
     xs += sorted(rng.integer(10, 10 ** 6) for _ in range(random_count))
     for x in xs:
-        d = fm.s_lambda_direct(x, workers=workers)
-        b = fm.s_lambda_blocked(x, workers=workers)
+        d = fm.s_lambda_direct(x)
+        b = fm.s_lambda_blocked(x)
         rel = abs(d - b) / (1.0 + abs(d))
         rows.append(ReportRow("msum", f"agree_x{x}", {"x": x}, rel, 1e-6,
                               rel <= 1e-6, seed=seed))
@@ -304,14 +277,13 @@ def msum_suite(seed: int = 0, random_count: int = 20, workers: int = 1,
     gap = abs(c6.value - c7.value)
     rows.append(ReportRow("msum", "constant_cutoffs", {"T1": 10 ** 6, "T2": 10 ** 7},
                           gap, c6.tail_bound, gap <= c6.tail_bound))
-    return _finish("msum", rows, t0, timing)
+    return _finish("msum", rows)
 
 
-def fraks_suite(x: float = 12345.678, d_values=(1000, 10000), delta: float = 0.5,
-                timing: bool = False) -> SuiteResult:
+def fraks_suite(x: float = 12345.678, d_values=(1000, 10000),
+                delta: float = 0.5) -> SuiteResult:
     """Direct sawtooth block sums against the decomposition, plus the
     trivial half-Chebyshev cap."""
-    t0 = time.perf_counter()
     rows = []
     for D in d_values:
         direct = fm.frak_s(x, D, delta)
@@ -323,17 +295,15 @@ def fraks_suite(x: float = 12345.678, d_values=(1000, 10000), delta: float = 0.5
         cheb = 0.5 * float(np.sum(segment_sieve(D, 2 * D).values))
         rows.append(ReportRow("fraks", f"cap_D{D}", {"x": x, "D": D, "delta": delta},
                               abs(direct), cheb, abs(direct) <= cheb))
-    return _finish("fraks", rows, t0, timing)
+    return _finish("fraks", rows)
 
 
 def fit_suite(lo: int = 10 ** 4, hi: int = 10 ** 9, points: int = 12,
-              slope_cap: float = 0.60, workers: int = 1,
-              timing: bool = False) -> SuiteResult:
+              slope_cap: float = 0.60) -> SuiteResult:
     """Error curve of the floor-ratio sum on a geometric grid and the
     fitted log-log growth exponent."""
-    t0 = time.perf_counter()
     grid = fm.geometric_grid(lo, hi, points)
-    curve = fm.error_curve(grid, workers=workers)
+    curve = fm.error_curve(grid)
     rows = []
     for x, s, e, b in zip(grid, curve.s_values, curve.e_values, curve.band):
         rows.append(ReportRow("fit", f"point_x{x}",
@@ -344,7 +314,7 @@ def fit_suite(lo: int = 10 ** 4, hi: int = 10 ** 9, points: int = 12,
                           {"points": len(grid), "used": fit.used,
                            "stderr": fit.slope_stderr, "T": curve.constant.T},
                           fit.slope, slope_cap, fit.slope <= slope_cap))
-    return _finish("fit", rows, t0, timing)
+    return _finish("fit", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +340,23 @@ def regression_instances(seed: int = 20260801, count: int = 24):
 
 
 def expsum_regression_suite(seed: int = 20260801, count: int = 24,
-                            workers: int = 1, baseline: dict | None = None,
-                            drift: float = 10.0,
-                            timing: bool = False) -> SuiteResult:
+                            baseline: dict | None = None,
+                            drift: float = 10.0) -> SuiteResult:
     """|S| against the perturbation-aware bound on the frozen grid: the
     ratio may not exceed the recorded baseline by more than the drift
-    factor, and |S| may never exceed the number of lattice points."""
-    t0 = time.perf_counter()
+    factor, and |S| may never exceed the number of lattice points.  A
+    baseline without an entry for some case is refused before any sum."""
     if baseline is None:
         baseline = load_baselines()
-    base = baseline["expsum_thm1"]
+    base = baseline.get("expsum_thm1", {})
     cases, insts = regression_instances(seed=seed, count=count)
+    missing = [case for case in cases if case not in base]
+    if missing:
+        raise ValueError(f"the baseline has no entry for case {missing[0]!r} "
+                         f"({len(missing)} of {len(cases)} cases missing)")
     rows = []
     for case, inst in zip(cases, insts):
-        lhs = abs(ee.eval_exp_sum(inst, workers=workers))
+        lhs = abs(ee.eval_exp_sum(inst))
         rhs = ee.bound_value(inst, "thm1")
         ratio = lhs / rhs
         cap = drift * base[case]
@@ -393,17 +366,16 @@ def expsum_regression_suite(seed: int = 20260801, count: int = 24,
         rows.append(ReportRow("expsum", f"{case}_count", {"count": cnt}, lhs,
                               float(cnt) * (1 + 1e-9), lhs <= cnt * (1 + 1e-9),
                               seed=inst.seed))
-    return _finish("expsum", rows, t0, timing)
+    return _finish("expsum", rows)
 
 
-def measure_baselines(seed: int = 20260801, count: int = 24,
-                      workers: int = 1) -> dict:
+def measure_baselines(seed: int = 20260801, count: int = 24) -> dict:
     """Current thm1 ratios on the frozen grid, for regenerating the
     committed baseline file."""
     cases, insts = regression_instances(seed=seed, count=count)
     ratios = {}
     for case, inst in zip(cases, insts):
-        lhs = abs(ee.eval_exp_sum(inst, workers=workers))
+        lhs = abs(ee.eval_exp_sum(inst))
         ratios[case] = lhs / ee.bound_value(inst, "thm1")
     return {"version": 1, "seed": seed, "count": count, "expsum_thm1": ratios}
 
@@ -412,9 +384,8 @@ def measure_baselines(seed: int = 20260801, count: int = 24,
 # exact exponent identities
 
 
-def exponent_suite(timing: bool = False) -> SuiteResult:
+def exponent_suite() -> SuiteResult:
     """Zero-tolerance rational identities of the optimization chain."""
-    t0 = time.perf_counter()
     rows = []
 
     def exact(case, got, want):
@@ -448,7 +419,7 @@ def exponent_suite(timing: bool = False) -> SuiteResult:
     exact("type_one_lead", t1.expr.terms[0], xc.Monomial.of(x=F(1, 3), D=F(2, 9)))
     pipe = xc.combined_error_exponent()
     exact("pipeline_estar", pipe.e_star, F(17, 36))
-    gap = xc.side_condition_gap(xc.H_EXPONENT, xc.K_EXPONENT, xc.T_RANGE)
+    gap = xc.side_condition_gap()
     rows.append(ReportRow("expcalc", "side_condition",
                           {"margins": str(gap.margins)}, 1.0 if gap.holds else 0.0,
                           1.0, gap.holds))
@@ -457,18 +428,16 @@ def exponent_suite(timing: bool = False) -> SuiteResult:
     rows.append(ReportRow("expcalc", "validity_window",
                           {"e_lo": "8/17", "floor": "6/13"},
                           1.0 if window_ok else 0.0, 1.0, window_ok))
-    return _finish("expcalc", rows, t0, timing)
+    return _finish("expcalc", rows)
 
 
 # ---------------------------------------------------------------------------
 # sieve consistency
 
 
-def sieve_suite(seed: int = 0, limit: int = 10 ** 6, window: int = 10 ** 4,
-                timing: bool = False) -> SuiteResult:
+def sieve_suite(seed: int = 0, limit: int = 10 ** 6, window: int = 10 ** 4) -> SuiteResult:
     """Full sieve against segments and point evaluation, plus the Chebyshev
     partial sums against a coarse envelope."""
-    t0 = time.perf_counter()
     rows = []
     full = sieve_mangoldt(limit)
     lo = limit // 2
@@ -487,7 +456,7 @@ def sieve_suite(seed: int = 0, limit: int = 10 ** 6, window: int = 10 ** 4,
     envelope_ok = 0.9 * limit < cheb < 1.1 * limit
     rows.append(ReportRow("sieve", "chebyshev_envelope", {"limit": limit},
                           cheb, 1.1 * limit, envelope_ok, seed=seed))
-    return _finish("sieve", rows, t0, timing)
+    return _finish("sieve", rows)
 
 
 ALL_SUITES = {

@@ -12,9 +12,10 @@ from fractions import Fraction as F
 import pytest
 
 from expsumlab import bilinear_sieve as bs
+from expsumlab import expsum_eval as ee
 from expsumlab import floor_mangoldt as fm
 from expsumlab import suites
-from expsumlab.diophantine_count import count_B0, count_B1
+from expsumlab.diophantine_count import PerturbationSpec, count_B0, count_B1
 from expsumlab.exponent_calc import (
     Monomial,
     combined_error_exponent,
@@ -127,11 +128,22 @@ def test_c11_deterministic_reports():
     assert set(cheap) == set(suites.ALL_SUITES)
     for name, kwargs in cheap.items():
         fn = suites.ALL_SUITES[name]
-        takes_workers = "workers" in fn.__code__.co_varnames
-        outputs = []
-        for workers in (1, 2, 8):
-            kw = dict(kwargs)
-            if takes_workers:
-                kw["workers"] = workers
-            outputs.append(rows_to_csv(fn(**kw).rows))
-        assert outputs[0] == outputs[1] == outputs[2], name
+        assert rows_to_csv(fn(**kwargs).rows) == rows_to_csv(fn(**kwargs).rows), name
+    # every kernel that takes a worker count, at sizes spanning several
+    # chunks, returns the same bits at workers 1, 2 and 8
+    inst = ee.ExpSumInstance(H=8, M=16, N=16, X=10.0, alpha=1.0, beta=1.0, gamma=1.0,
+                             coeff_a=ee.unimodular_coeff_a(3),
+                             coeff_b=ee.unimodular_coeff_b(4), delta=0.5, K=5.0)
+    spec = PerturbationSpec(beta=1.0, delta=0.1, M=4, kind="mu")
+    fam = bs.pair_difference_family(5, 1.0, spec, bs.scenario_m_coordinates(3, 4))
+    pts = bs.scenario_points(3, 4, 10.0, 1.0, 1.0)
+    kernels = {
+        "s_lambda_direct": lambda w: fm.s_lambda_direct(3 * 10 ** 6, workers=w),
+        "s_lambda_blocked": lambda w: fm.s_lambda_blocked(10 ** 10, workers=w),
+        "main_constant": lambda w: fm.main_constant(10 ** 6, workers=w).value,
+        "eval_exp_sum": lambda w: ee.eval_exp_sum(inst, workers=w),
+        "dls_check": lambda w: bs.dls_check(fam, pts, K=2.0, workers=w).lhs,
+    }
+    for name, kernel in kernels.items():
+        one, two, eight = (kernel(w) for w in (1, 2, 8))
+        assert one == two == eight, name

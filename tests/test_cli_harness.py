@@ -13,8 +13,7 @@ from expsumlab.cli_harness import (
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for key in ("SEED", "WORKERS", "FORMAT", "TIMING", "EPS", "BASELINE",
-                "CAPACITY"):
+    for key in ("SEED", "FORMAT", "TIMING", "EPS", "BASELINE", "CAPACITY"):
         monkeypatch.delenv(ENV_PREFIX + key, raising=False)
 
 
@@ -97,30 +96,55 @@ def test_runtime_error_exits_one(capsys):
     assert err.startswith("error:")
 
 
-def test_refused_budget_is_one_error_line(capsys):
-    rc, out, err = _run(capsys, ["msum", "--x", "10000000000000"])
-    assert rc == 1
-    assert out == ""
-    assert err.startswith("error:") and "blocked budget" in err
-    assert len(err.splitlines()) == 1
+@pytest.mark.parametrize("argv, needle", [
+    (["msum", "--x", "10000000000000"], "blocked budget"),
+    (["expsum", "--count", "30"], "'rand_24'"),
+    (["--baseline", "PARTIAL", "expsum"], "'rand_05'"),
+    (["expcalc", "substitute", "--assign", "E=x"], "needs --terms"),
+    (["expcalc", "balance", "--range", "8/17:1/2"], "needs --terms"),
+    (["expcalc", "dominate", "--b", "D", "--range", "0:1"], "needs --a"),
+    (["expcalc", "dominate", "--a", "D", "--range", "0:1"], "needs --b"),
+    (["expcalc", "dominate", "--a", "D", "--b", "D"], "needs --range"),
+    (["psi", "--count", "0"], "no rows"),
+    (["psi", "--count", "-4"], "no rows"),
+    (["dls", "--count", "0"], "no rows"),
+    (["dls", "--count", "-4"], "no rows"),
+], ids=["msum-budget", "expsum-count30", "expsum-partial-baseline",
+        "substitute-no-terms", "balance-no-terms", "dominate-no-a",
+        "dominate-no-b", "dominate-no-range", "psi-count0", "psi-count-neg",
+        "dls-count0", "dls-count-neg"])
+def test_refused_input_is_one_error_line(capsys, tmp_path, argv, needle):
+    from expsumlab.suites import load_baselines
 
-
-@pytest.mark.parametrize("via", ["flag", "env", "file"])
-@pytest.mark.parametrize("workers", [0, -3])
-def test_workers_below_one_rejected(capsys, tmp_path, monkeypatch, via, workers):
-    argv = ["msum", "--x", "10"]
-    if via == "flag":
-        argv = ["--workers", str(workers)] + argv
-    elif via == "env":
-        monkeypatch.setenv(ENV_PREFIX + "WORKERS", str(workers))
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"workers = {workers}\n")
-        argv = ["--config", str(cfg)] + argv
+    partial = load_baselines()
+    del partial["expsum_thm1"]["rand_05"]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(partial))
+    argv = [str(path) if a == "PARTIAL" else a for a in argv]
     rc, out, err = _run(capsys, argv)
     assert rc == 1
     assert out == ""
-    assert err.startswith("error: workers must be >= 1")
+    assert err.startswith("error:") and needle in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("via", ["flag", "file"])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(capsys, tmp_path, via, workers):
+    # the worker count is no longer a run setting: the flag is a usage error
+    # and the config key an unknown key
+    if via == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(["--workers", str(workers), "msum", "--x", "10"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"workers = {workers}\n")
+        rc, out, err = _run(capsys, ["--config", str(cfg), "msum", "--x", "10"])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and "unknown key 'workers'" in err
 
 
 def test_failure_reported_on_stderr(capsys, tmp_path):
@@ -159,11 +183,12 @@ def test_config_file_layers(capsys, tmp_path, monkeypatch):
 
 
 def test_env_coercion(monkeypatch):
-    monkeypatch.setenv(ENV_PREFIX + "WORKERS", "4")
     monkeypatch.setenv(ENV_PREFIX + "TIMING", "yes")
     monkeypatch.setenv(ENV_PREFIX + "EPS", "0.25")
+    # not a setting any more, so ignored
+    monkeypatch.setenv(ENV_PREFIX + "WORKERS", "4")
     over = env_overrides()
-    assert over == {"workers": 4, "timing": True, "eps": 0.25}
+    assert over == {"timing": True, "eps": 0.25}
     monkeypatch.setenv(ENV_PREFIX + "TIMING", "maybe")
     with pytest.raises(ValueError):
         env_overrides()
@@ -190,16 +215,12 @@ def test_missing_config_file_is_an_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_byte_identical_reruns_and_workers(capsys):
+def test_byte_identical_reruns(capsys):
     argv = ["--seed", "5", "dls", "--count", "25"]
     rc1, out1, _ = _run(capsys, argv)
     rc2, out2, _ = _run(capsys, argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
-    rcw, outw, _ = _run(capsys, ["--seed", "5", "--workers", "2",
-                                 "dls", "--count", "25"])
-    assert rcw == 0
-    assert outw == out1
 
 
 def test_json_meta_keys(capsys):
@@ -211,10 +232,9 @@ def test_json_meta_keys(capsys):
     assert meta["suite"] == "dio"
 
 
-def test_config_hash_ignores_workers(capsys):
+def test_config_hash_ignores_timing(capsys):
     rc, one, _ = _run(capsys, ["--format", "json", "dio"])
-    rc, two, _ = _run(capsys, ["--format", "json", "--workers", "8",
-                               "--timing", "dio"])
+    rc, two, _ = _run(capsys, ["--format", "json", "--timing", "dio"])
     h1 = json.loads(one)["meta"]["config_hash"]
     h2 = json.loads(two)["meta"]["config_hash"]
     assert h1 == h2

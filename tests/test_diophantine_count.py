@@ -151,12 +151,15 @@ def test_regime_warning():
 
 
 def test_capacity_guards():
-    with pytest.raises(CapacityError):
-        count_B0(100, 1.0, 10.0, budget=10 ** 6)
-    with pytest.raises(CapacityError):
-        count_B1(40, 40, 1.0, 1.0, 10.0, budget=10 ** 6)
-    with pytest.raises(CapacityError):
-        count_B3(2000, 1.0, 10.0, _spec(), budget=10 ** 6)
+    # each just over the 10^9 tuple budget; refused before any table is built
+    with pytest.raises(CapacityError, match=r"N\^4 = 1003875856"):
+        count_B0(178, 1.0, 10.0)
+    with pytest.raises(CapacityError, match=r"\(HM\)\^2"):
+        count_B1(178, 178, 1.0, 1.0, 10.0)
+    with pytest.raises(CapacityError, match=r"N\^4"):
+        count_B2(178, 1.0, 10.0, _spec())
+    with pytest.raises(CapacityError, match=r"N\^2"):
+        count_B3(31623, 1.0, 10.0, _spec())
 
 
 def test_input_validation():

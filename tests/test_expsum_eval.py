@@ -28,11 +28,10 @@ def _inst(seed=7, H=4, M=4, N=4, X=10.0, delta=0.5, K=5.0, **kw):
         delta=delta, K=K, **kw)
 
 
-def _naive(inst, negate_x=False):
+def _naive(inst):
     m_arr = np.arange(inst.M + 1, 2 * inst.M + 1, dtype=np.int64)
     n_arr = np.arange(inst.N + 1, 2 * inst.N + 1, dtype=np.int64)
     c0 = inst.X * inst.M ** inst.beta * inst.N ** inst.gamma / inst.H ** inst.alpha
-    sign = -1.0 if negate_x else 1.0
     total = 0j
     for h in range(inst.H + 1, 2 * inst.H + 1):
         a_row = np.asarray(inst.coeff_a(h, m_arr))
@@ -43,7 +42,7 @@ def _naive(inst, negate_x=False):
                     lo, hi = inst.mn_clip
                     if not lo < m * n <= hi:
                         continue
-                theta = sign * c0 * h ** inst.alpha / (
+                theta = c0 * h ** inst.alpha / (
                     float(m) ** inst.beta * float(n) ** inst.gamma + inst.delta)
                 total += a_row[im] * b_col[jn] * cmath.exp(2j * math.pi * theta)
     return total
@@ -84,15 +83,6 @@ def test_conjugate_coefficients_give_count():
     assert abs(eval_exp_sum(inst) - N) <= 1e-9
 
 
-def test_negate_x_conjugates_for_real_coeffs():
-    inst = ExpSumInstance(H=3, M=3, N=3, X=7.5, alpha=1.2, beta=0.8, gamma=1.1,
-                          coeff_a=constant_coeff_a(), coeff_b=constant_coeff_b(),
-                          delta=0.2, K=2.0)
-    s = eval_exp_sum(inst)
-    s_neg = eval_exp_sum(inst, negate_x=True)
-    assert abs(s_neg - s.conjugate()) <= 1e-12 * (1 + abs(s))
-
-
 def test_worker_bit_identity():
     inst = _inst(seed=3, H=8, M=16, N=16)
     s1 = eval_exp_sum(inst, workers=1)
@@ -123,9 +113,10 @@ def test_phase_guard():
 
 
 def test_term_budget_guard():
-    inst = _inst(H=100, M=100, N=100)
-    with pytest.raises(CapacityError, match="term budget"):
-        eval_exp_sum(inst, budget=10 ** 5)
+    # 465^3 > 10^8 = DEFAULT_TERM_BUDGET; refused before any allocation
+    inst = _inst(H=465, M=465, N=465)
+    with pytest.raises(CapacityError, match="term budget 100000000"):
+        eval_exp_sum(inst)
 
 
 def test_coefficient_modulus_rejected():

@@ -1,6 +1,10 @@
+import csv
+import io
+
 import pytest
 
 from expsumlab import suites
+from expsumlab.cli_harness import main
 from expsumlab.reports import rows_to_csv
 
 
@@ -74,20 +78,20 @@ def test_rows_byte_stable_across_reruns():
     assert c != a
 
 
-def test_rows_byte_stable_across_workers():
-    one = rows_to_csv(suites.dls_suite(seed=3, count=40, workers=1).rows)
-    two = rows_to_csv(suites.dls_suite(seed=3, count=40, workers=2).rows)
-    assert one == two
-    m1 = rows_to_csv(suites.msum_suite(random_count=4, workers=1).rows)
-    m2 = rows_to_csv(suites.msum_suite(random_count=4, workers=3).rows)
-    assert m1 == m2
+def test_timing_off_keeps_rows_deterministic(capsys, monkeypatch):
+    monkeypatch.delenv("EXPSUMLAB_TIMING", raising=False)
 
+    def run(*flags):
+        assert main([*flags, "vaughan", "--d-list", "101"]) == 0
+        return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
 
-def test_timing_off_keeps_rows_deterministic():
-    rows = suites.vaughan_suite(d_values=(101,)).rows
-    assert all(r.wall_time == 0.0 for r in rows)
-    timed = suites.vaughan_suite(d_values=(101,), timing=True)
-    assert timed.wall_time > 0.0
+    plain, again, timed = run(), run(), run("--timing")
+    assert plain == again
+    assert all(r["wall_time"] == "0.0" for r in plain)
+    # each timed row carries the battery's wall time over its row count
+    walls = {r.pop("wall_time") for r in timed}
+    assert len(walls) == 1 and float(walls.pop()) > 0.0
+    assert timed == [{k: v for k, v in r.items() if k != "wall_time"} for r in plain]
 
 
 def test_baselines_resource_loads():
