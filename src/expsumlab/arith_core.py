@@ -1,7 +1,8 @@
 """Arithmetic substrate shared by every evaluator.
 
-Provides Mangoldt and Moebius sieves (full-range and segmented), pointwise
-prime-power detection good to 2^64, the centered fractional part, and a
+Provides Mangoldt and Moebius sieves (full-range and segmented), Mangoldt
+values at sorted integers from a segmented sieve, pointwise prime-power
+detection good to 2^64, the centered fractional part, and a
 deterministic chunked summation scheme whose result is bit-identical for any
 worker count.
 """
@@ -17,6 +18,8 @@ import numpy as np
 from .errors import CapacityError
 
 DEFAULT_SEGMENT_CAPACITY = 1 << 24
+# entries of a composite mask marked at once: 1 MB of flags stays in cache
+_MASK_BLOCK = 1 << 20
 
 # Deterministic Miller-Rabin witness sets.  Each tuple is a proven-complete
 # witness set below the stated limit; the last covers all of 2^64.
@@ -157,6 +160,25 @@ def sieve_mangoldt(limit: int, capacity: int | None = None) -> MangoldtTable:
     return MangoldtTable(lo=1, hi=limit, values=values[1:])
 
 
+def _composite_mask(start: int, hi: int, base) -> np.ndarray:
+    """Composite flags on [start, hi], start >= 2: every multiple of a base
+    prime p from p*p on.  base must hold the primes up to isqrt(hi), so an
+    unmarked entry is prime.  The range is marked in blocks of _MASK_BLOCK
+    entries, which stay in cache while every base prime strides over them."""
+    composite = np.zeros(hi - start + 1, dtype=bool)
+    base = [int(p) for p in base]
+    for lo in range(start, hi + 1, _MASK_BLOCK):
+        top = min(hi, lo + _MASK_BLOCK - 1)
+        block = composite[lo - start: top - start + 1]
+        for p in base:
+            if p * p > top:
+                break
+            first = max(p * p, ((lo + p - 1) // p) * p)
+            if first <= top:
+                block[first - lo:: p] = True
+    return composite
+
+
 def segment_sieve(lo: int, hi: int, capacity: int | None = None) -> MangoldtTable:
     """Mangoldt table on the half-open block (lo, hi], i.e. integers
     lo+1 .. hi.  Needs base primes up to sqrt(hi) only."""
@@ -171,14 +193,8 @@ def segment_sieve(lo: int, hi: int, capacity: int | None = None) -> MangoldtTabl
     start = lo + 1
     values = np.zeros(n)
     base = np.flatnonzero(sieve_primes(math.isqrt(hi)))
-    composite = np.zeros(n, dtype=bool)
-    for p in base:
-        p = int(p)
-        first = max(p * p, ((start + p - 1) // p) * p)
-        if first <= hi:
-            composite[first - start:: p] = True
     # unmarked entries are primes (start >= 2, so no special case for 1)
-    prime_idx = np.flatnonzero(~composite)
+    prime_idx = np.flatnonzero(~_composite_mask(start, hi, base))
     if len(prime_idx):
         values[prime_idx] = np.log((prime_idx + start).astype(np.float64))
     # proper prime powers of the base primes fall inside the composite mask
@@ -191,6 +207,55 @@ def segment_sieve(lo: int, hi: int, capacity: int | None = None) -> MangoldtTabl
                 values[pk - start] = lp
             pk *= p
     return MangoldtTable(lo=start, hi=hi, values=values)
+
+
+def mangoldt_many(vals) -> np.ndarray:
+    """Mangoldt values at sorted distinct positive integers, each bitwise
+    equal to mangoldt_point at that integer.
+
+    The values are covered by segments of at most DEFAULT_SEGMENT_CAPACITY
+    integers, each starting at the first value not yet covered, and each
+    segment is sieved with the composite mask of segment_sieve.  A value
+    left unmarked is prime and carries math.log(v), not np.log, which
+    differs from it in the last bit on about one integer in 20000 (numpy
+    2.4, x86-64); a proper prime power p^k carries math.log(p).  Base primes run to the square
+    root of the largest value, so this suits dense windows, such as the
+    top values of [x/n]."""
+    vals = np.asarray(vals, dtype=np.int64)
+    out = np.zeros(len(vals))
+    if len(vals) == 0:
+        return out
+    if vals[0] < 1 or np.any(np.diff(vals) <= 0):
+        raise ValueError("need sorted distinct positive integers")
+    capacity = DEFAULT_SEGMENT_CAPACITY
+    top = int(vals[-1])
+    root = math.isqrt(top)
+    if root > capacity:
+        raise CapacityError(
+            f"base-prime range {root} exceeds segment capacity {capacity}"
+        )
+    base = np.flatnonzero(sieve_primes(root))
+    i = int(np.searchsorted(vals, 2))
+    while i < len(vals):
+        start = int(vals[i])
+        j = int(np.searchsorted(vals, start + capacity))
+        seg = vals[i:j]
+        prime = ~_composite_mask(start, int(seg[-1]), base)[seg - start]
+        out[i:j][prime] = [math.log(v) for v in seg[prime].tolist()]
+        i = j
+    powers, logs = [], []
+    for p in base.tolist():
+        lp = math.log(p)
+        pk = p * p
+        while pk <= top:
+            powers.append(pk)
+            logs.append(lp)
+            pk *= p
+    if powers:
+        idx = np.minimum(np.searchsorted(vals, powers), len(vals) - 1)
+        hit = vals[idx] == np.asarray(powers)
+        out[idx[hit]] = np.asarray(logs)[hit]
+    return out
 
 
 # ---------------------------------------------------------------------------

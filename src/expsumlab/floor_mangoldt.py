@@ -19,6 +19,7 @@ import numpy as np
 from .arith_core import (
     DEFAULT_SEGMENT_CAPACITY,
     chunked_tree_sum,
+    mangoldt_many,
     mangoldt_point,
     psi_frac_many,
     segment_sieve,
@@ -28,7 +29,13 @@ from .errors import CapacityError, DegenerateFitError
 
 DIRECT_LIMIT = 10 ** 7
 BLOCKED_LIMIT = 10 ** 12
+# n <= isqrt(x) // BLOCKED_SPLIT get Lambda([x/n]) pointwise; the larger n up
+# to isqrt(x) sieve one window of about BLOCKED_SPLIT * sqrt(x) integers
+BLOCKED_SPLIT = 32
 WINDOW_LIMIT = 10 ** 9
+# the largest quotient x/(d+delta) a sawtooth window may take: at 2^46 a
+# double keeps 6 bits of the fractional part, beyond it psi is rounding noise
+QUOTIENT_GUARD = 2.0 ** 46
 _DIRECT_CHUNK = 1 << 20
 DEFAULT_BEST_T = 10 ** 8
 
@@ -58,28 +65,35 @@ def s_lambda_direct(x: int, workers: int = 1) -> float:
 
 
 def blocked_block_count(x: int) -> int:
-    """Distinct work items of the blocked evaluator: sqrt(x) point values
-    plus sqrt(x) sieved multiplicity blocks."""
+    """Number of distinct values of [x/n] over n <= x: the isqrt(x) values
+    taken at n <= isqrt(x) (all distinct) plus the values d <= x/(isqrt(x)+1)
+    that s_lambda_blocked weights by multiplicity."""
     x = _check_x(x)
     n0 = math.isqrt(x)
     return n0 + x // (n0 + 1)
 
 
 def s_lambda_blocked(x: int, workers: int = 1) -> float:
-    """S(x) through the O(sqrt x) value blocks of [x/n].
+    """S(x) through the O(sqrt x) distinct values of [x/n], in three ranges.
 
-    For n <= sqrt(x) the value [x/n] is large and Lambda is evaluated
-    pointwise; each remaining value d <= x/(sqrt(x)+1) is taken with
-    multiplicity [x/d] - max([x/(d+1)], sqrt(x)), its count of n > sqrt(x)."""
+    Pointwise: for n <= n1 = isqrt(x) // BLOCKED_SPLIT the values [x/n] are
+    sparse and Lambda comes from mangoldt_point.  Window-sieved: for
+    n1 < n <= isqrt(x) the values fill one window of about
+    BLOCKED_SPLIT * sqrt(x) integers, and mangoldt_many sieves it; each
+    value is bitwise the pointwise one, so the partial sums over 65536-wide
+    n chunks do not depend on the split.  Multiplicity-sieved: each
+    remaining value d <= x/(isqrt(x)+1) comes from one full sieve and is
+    weighted by [x/d] - max([x/(d+1)], isqrt(x)), its count of n > isqrt(x)."""
     x = _check_x(x)
     if x > BLOCKED_LIMIT:
         raise CapacityError(f"x = {x} exceeds the blocked budget {BLOCKED_LIMIT}")
     n0 = math.isqrt(x)
-
-    def point_chunk(lo, hi):
-        return math.fsum(mangoldt_point(x // n) for n in range(lo + 1, hi + 1))
-
-    part1 = float(chunked_tree_sum(n0, point_chunk, workers=workers))
+    n1 = n0 // BLOCKED_SPLIT
+    head = np.empty(n0)  # head[n - 1] = Lambda([x/n])
+    head[:n1] = [mangoldt_point(x // n) for n in range(1, n1 + 1)]
+    head[n1:] = mangoldt_many(x // np.arange(n0, n1, -1, dtype=np.int64))[::-1]
+    part1 = float(chunked_tree_sum(n0, lambda lo, hi: math.fsum(head[lo:hi].tolist()),
+                                   workers=workers))
     cut = x // (n0 + 1)
     if cut == 0:
         return part1
@@ -149,9 +163,17 @@ def best_constant(T: int = DEFAULT_BEST_T) -> MainConstant:
 
 def _psi_window_sum(x: float, lo: int, hi: int, delta: float,
                     capacity: int) -> float:
-    """sum_{lo < d <= hi} Lambda(d) psi(x/(d+delta)) in fixed segment order."""
+    """sum_{lo < d <= hi} Lambda(d) psi(x/(d+delta)) in fixed segment order.
+
+    Refused when the largest quotient x/(lo+1+delta) exceeds QUOTIENT_GUARD,
+    rather than summing sawtooth values the double cannot resolve."""
     if hi - lo > WINDOW_LIMIT:
         raise CapacityError(f"window length {hi - lo} exceeds {WINDOW_LIMIT}")
+    peak = x / (lo + 1 + delta)
+    if peak > QUOTIENT_GUARD:
+        raise CapacityError(
+            f"peak quotient {peak:.3g} exceeds the precision guard 2^46"
+        )
     parts = []
     seg_lo = lo
     while seg_lo < hi:

@@ -23,7 +23,6 @@ from . import expsum_eval as ee
 from . import floor_mangoldt as fm
 from . import vaughan_decomp as vd
 from .arith_core import mangoldt_point, psi_frac_many, segment_sieve, sieve_mangoldt
-from .errors import RejectedInstanceError
 from .reports import ReportRow
 from .seeding import DetRand, pair_uniform
 from .vaaler_psi import error_majorant_many, psi_approx_many
@@ -345,15 +344,22 @@ def expsum_regression_suite(seed: int = 20260801, count: int = 24,
     """|S| against the perturbation-aware bound on the frozen grid: the
     ratio may not exceed the recorded baseline by more than the drift
     factor, and |S| may never exceed the number of lattice points.  A
-    baseline without an entry for some case is refused before any sum."""
+    baseline that is not an object of cases, lacks an entry for some case
+    or holds a non-number, is refused before any sum."""
     if baseline is None:
         baseline = load_baselines()
-    base = baseline.get("expsum_thm1", {})
+    base = baseline.get("expsum_thm1", {}) if isinstance(baseline, dict) else None
+    if not isinstance(base, dict):
+        raise ValueError("the baseline must be a JSON object whose 'expsum_thm1' "
+                         "entry is an object of cases")
     cases, insts = regression_instances(seed=seed, count=count)
     missing = [case for case in cases if case not in base]
     if missing:
         raise ValueError(f"the baseline has no entry for case {missing[0]!r} "
                          f"({len(missing)} of {len(cases)} cases missing)")
+    bad = [case for case in cases if type(base[case]) not in (int, float)]
+    if bad:
+        raise ValueError(f"the baseline entry for case {bad[0]!r} is not a number")
     rows = []
     for case, inst in zip(cases, insts):
         lhs = abs(ee.eval_exp_sum(inst))

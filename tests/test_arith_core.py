@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from expsumlab import arith_core
 from expsumlab.arith_core import (
     chunked_tree_sum,
     integer_kth_root,
     is_prime,
+    mangoldt_many,
     mangoldt_point,
     psi_frac,
     psi_frac_many,
@@ -86,6 +88,67 @@ def test_segment_high_window_vs_point():
     hits = np.flatnonzero(seg.values)[:50]
     for i in hits:
         assert mangoldt_point(lo + 1 + int(i)) > 0
+
+
+def test_segment_mask_blocks_keep_bits(monkeypatch):
+    # mask blocks far smaller than the table cross every block boundary
+    want = [segment_sieve(lo, hi).values for lo, hi in ((1, 5000), (997, 3000))]
+    monkeypatch.setattr(arith_core, "_MASK_BLOCK", 37)
+    got = [segment_sieve(lo, hi).values for lo, hi in ((1, 5000), (997, 3000))]
+    for w, g in zip(want, got):
+        assert w.tobytes() == g.tobytes()
+
+
+# primes whose np.log differs from math.log in the last bit with numpy 2.4
+# on x86-64; another build may round them alike, and the checks still hold
+_NP_LOG_ULP_PRIMES = (285343, 287549, 351497, 504631, 664679)
+# 1, small and large primes, prime squares and higher prime powers
+_ANCHORS = (1, 2, 3, 4, 8, 9, 25, 27, 49, 121, 243, 1024, 3 ** 10, 97 ** 2,
+            101 ** 3, 65537, 2 ** 31 - 1, 10 ** 9 + 7, 99991 ** 2,
+            *_NP_LOG_ULP_PRIMES)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@given(center=st.sampled_from(_ANCHORS), offset=st.integers(-300, 300),
+       width=st.integers(1, 1500), anchors=st.sets(st.sampled_from(_ANCHORS)))
+@settings(max_examples=60, deadline=None)
+def test_mangoldt_many_bitwise_point(center, offset, width, anchors):
+    lo = max(1, center + offset)
+    vals = sorted(set(range(lo, lo + width)) | anchors)
+    assert _hexes(mangoldt_many(vals)) == _hexes(mangoldt_point(v) for v in vals)
+
+
+@pytest.mark.parametrize("cap", [7, 64])
+def test_mangoldt_many_across_segments(monkeypatch, cap):
+    # a dense run cut into segments of cap integers, marked in 5-entry
+    # blocks, then a sparse tail of one segment per value; the largest
+    # value, cap^2, keeps the base primes within the capacity
+    top = cap * cap
+    vals = list(range(1, top // 2)) + [top - 25, top - 17, top - 4, top]
+    want = _hexes(mangoldt_point(v) for v in vals)
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT_CAPACITY", cap)
+    monkeypatch.setattr(arith_core, "_MASK_BLOCK", 5)
+    assert _hexes(mangoldt_many(vals)) == want
+    with pytest.raises(CapacityError, match="base-prime"):
+        mangoldt_many([(cap + 1) ** 2])
+
+
+def test_mangoldt_many_carries_math_log():
+    want = {}
+    for p in _NP_LOG_ULP_PRIMES:
+        want[p] = want[p * p] = math.log(p)
+    vals = sorted(want)
+    assert _hexes(mangoldt_many(vals)) == _hexes(want[v] for v in vals)
+
+
+def test_mangoldt_many_input_checks():
+    assert len(mangoldt_many([])) == 0
+    for bad in ([3, 2], [2, 2], [0, 5]):
+        with pytest.raises(ValueError, match="sorted distinct positive"):
+            mangoldt_many(bad)
 
 
 def test_mangoldt_point_known_values():

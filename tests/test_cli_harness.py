@@ -100,6 +100,9 @@ def test_runtime_error_exits_one(capsys):
     (["msum", "--x", "10000000000000"], "blocked budget"),
     (["expsum", "--count", "30"], "'rand_24'"),
     (["--baseline", "PARTIAL", "expsum"], "'rand_05'"),
+    (["--baseline", "NOTOBJECT", "expsum"], "JSON object"),
+    (["--baseline", "TEXTENTRY", "expsum"], "'rand_03' is not a number"),
+    (["frak-s", "--x", "1e30", "--d", "5"], "precision guard"),
     (["expcalc", "substitute", "--assign", "E=x"], "needs --terms"),
     (["expcalc", "balance", "--range", "8/17:1/2"], "needs --terms"),
     (["expcalc", "dominate", "--b", "D", "--range", "0:1"], "needs --a"),
@@ -110,6 +113,7 @@ def test_runtime_error_exits_one(capsys):
     (["dls", "--count", "0"], "no rows"),
     (["dls", "--count", "-4"], "no rows"),
 ], ids=["msum-budget", "expsum-count30", "expsum-partial-baseline",
+        "expsum-list-baseline", "expsum-text-entry", "frak-s-precision",
         "substitute-no-terms", "balance-no-terms", "dominate-no-a",
         "dominate-no-b", "dominate-no-range", "psi-count0", "psi-count-neg",
         "dls-count0", "dls-count-neg"])
@@ -120,7 +124,13 @@ def test_refused_input_is_one_error_line(capsys, tmp_path, argv, needle):
     del partial["expsum_thm1"]["rand_05"]
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(partial))
-    argv = [str(path) if a == "PARTIAL" else a for a in argv]
+    text_entry = load_baselines()
+    text_entry["expsum_thm1"]["rand_03"] = "0.5"
+    files = {"PARTIAL": path, "NOTOBJECT": tmp_path / "list.json",
+             "TEXTENTRY": tmp_path / "text.json"}
+    files["NOTOBJECT"].write_text("[1, 2]")
+    files["TEXTENTRY"].write_text(json.dumps(text_entry))
+    argv = [str(files.get(a, a)) for a in argv]
     rc, out, err = _run(capsys, argv)
     assert rc == 1
     assert out == ""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from expsumlab import arith_core
 from expsumlab import floor_mangoldt as fm
-from expsumlab.arith_core import mangoldt_point, sieve_mangoldt
+from expsumlab.arith_core import chunked_tree_sum, mangoldt_point, sieve_mangoldt
 from expsumlab.errors import CapacityError, DegenerateFitError
 from expsumlab.seeding import DetRand
 
@@ -26,6 +26,44 @@ def test_blocked_matches_direct():
         a = fm.s_lambda_direct(x)
         b = fm.s_lambda_blocked(x)
         assert abs(a - b) <= 1e-6 * (1 + abs(a)), x
+
+
+def _blocked_pointwise(x):
+    """S(x) by the pointwise formula: mangoldt_point at every [x/n] with
+    n <= isqrt(x), summed with math.fsum over 65536-wide n chunks, plus the
+    multiplicity-weighted sieve over the smaller values."""
+    n0 = math.isqrt(x)
+
+    def point_chunk(lo, hi):
+        return math.fsum(mangoldt_point(x // n) for n in range(lo + 1, hi + 1))
+
+    part1 = float(chunked_tree_sum(n0, point_chunk))
+    cut = x // (n0 + 1)
+    if cut == 0:
+        return part1
+    d = np.arange(1, cut + 1, dtype=np.int64)
+    counts = x // d - np.maximum(x // (d + 1), n0)
+    vals = sieve_mangoldt(cut).values * counts.astype(np.float64)
+    return part1 + float(chunked_tree_sum(cut, lambda a, b: vals[a:b].sum()))
+
+
+@pytest.mark.parametrize("split", [2, fm.BLOCKED_SPLIT])
+def test_blocked_bitwise_pointwise_small(monkeypatch, split):
+    # a split of 2 puts both the pointwise and the window range to work
+    # even at x <= 3000
+    monkeypatch.setattr(fm, "BLOCKED_SPLIT", split)
+    for x in range(1, 3001):
+        assert fm.s_lambda_blocked(x).hex() == _blocked_pointwise(x).hex(), x
+
+
+@pytest.mark.parametrize("x", [10 ** 9 + 7, 10 ** 10, 10 ** 11])
+def test_blocked_bitwise_pointwise_large(x):
+    assert fm.s_lambda_blocked(x).hex() == _blocked_pointwise(x).hex()
+
+
+def test_block_count_is_distinct_values():
+    for x in range(1, 2001):
+        assert fm.blocked_block_count(x) == len({x // n for n in range(1, x + 1)}), x
 
 
 def test_blocked_worker_invariance():
@@ -119,6 +157,17 @@ def test_frak_s_validation():
         fm.frak_s(100.0, 0)
     with pytest.raises(ValueError):
         fm.frak_s(100.0, 5, delta=-1.0)
+
+
+def test_psi_window_precision_guard():
+    # the largest quotient of the window is x/(lo+1+delta)
+    assert math.isfinite(fm.frak_s(fm.QUOTIENT_GUARD * 6.0, 5))
+    with pytest.raises(CapacityError, match="precision guard"):
+        fm.frak_s(fm.QUOTIENT_GUARD * 6.0 * (1 + 1e-12), 5)
+    with pytest.raises(CapacityError, match="precision guard"):
+        fm.frak_s(1e30, 5, delta=0.5)
+    with pytest.raises(CapacityError, match="precision guard"):
+        fm.r_delta(1e30, 1e15 - 100.0)  # a 200-wide window near sqrt(x)
 
 
 def test_r_delta_empty_window():
