@@ -1,8 +1,9 @@
 """Arithmetic substrate shared by every evaluator.
 
-Provides Mangoldt and Moebius sieves (full-range and segmented), Mangoldt
-values at sorted integers from a segmented sieve, pointwise prime-power
-detection good to 2^64, the centered fractional part, and a
+Provides a prime sieve, a Moebius sieve and one segmented Mangoldt sieve
+(the table on [1, limit] is the segment (0, limit]), all marking composites
+with one blocked loop; Mangoldt values at sorted integers, pointwise
+prime-power detection good to 2^64, the centered fractional part, and a
 deterministic chunked summation scheme whose result is bit-identical for any
 worker count.
 """
@@ -92,10 +93,7 @@ def sieve_primes(limit: int) -> np.ndarray:
         raise ValueError("limit must be nonnegative")
     flags = np.zeros(limit + 1, dtype=bool)
     if limit >= 2:
-        flags[2:] = True
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p:: p] = False
+        flags[2:] = _prime_mask(2, limit, np.flatnonzero(sieve_primes(math.isqrt(limit))))
     return flags
 
 
@@ -136,76 +134,64 @@ class MangoldtTable:
         return float(self.values[d - self.lo])
 
 
-def sieve_mangoldt(limit: int, capacity: int | None = None) -> MangoldtTable:
-    """Mangoldt table on [1, limit]."""
-    capacity = DEFAULT_SEGMENT_CAPACITY if capacity is None else capacity
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit > capacity:
-        raise CapacityError(
-            f"range length {limit} exceeds segment capacity {capacity}; "
-            "use segment_sieve over sub-ranges"
-        )
-    values = np.zeros(limit + 1)
-    primes = np.flatnonzero(sieve_primes(limit))
-    if len(primes):
-        values[primes] = np.log(primes.astype(np.float64))
-    for p in primes[primes <= math.isqrt(limit)]:
-        p = int(p)
-        lp = float(np.log(float(p)))
-        pk = p * p
-        while pk <= limit:
-            values[pk] = lp
-            pk *= p
-    return MangoldtTable(lo=1, hi=limit, values=values[1:])
+def sieve_mangoldt(limit: int) -> MangoldtTable:
+    """Mangoldt table on [1, limit]: the segment (0, limit]."""
+    return segment_sieve(0, limit)
 
 
-def _composite_mask(start: int, hi: int, base) -> np.ndarray:
-    """Composite flags on [start, hi], start >= 2: every multiple of a base
-    prime p from p*p on.  base must hold the primes up to isqrt(hi), so an
-    unmarked entry is prime.  The range is marked in blocks of _MASK_BLOCK
-    entries, which stay in cache while every base prime strides over them."""
-    composite = np.zeros(hi - start + 1, dtype=bool)
+def _prime_mask(start: int, hi: int, base) -> np.ndarray:
+    """Flags on [start, hi], start >= 1, cleared at every multiple of a base
+    prime p from p*p on: the one loop that marks composites.  base must hold
+    the primes up to isqrt(hi), so a set entry other than 1 is prime.  The
+    range is marked in blocks of _MASK_BLOCK entries, which stay in cache
+    while every base prime strides over them."""
+    flags = np.ones(hi - start + 1, dtype=bool)
     base = [int(p) for p in base]
     for lo in range(start, hi + 1, _MASK_BLOCK):
         top = min(hi, lo + _MASK_BLOCK - 1)
-        block = composite[lo - start: top - start + 1]
+        block = flags[lo - start: top - start + 1]
         for p in base:
             if p * p > top:
                 break
             first = max(p * p, ((lo + p - 1) // p) * p)
             if first <= top:
-                block[first - lo:: p] = True
-    return composite
+                block[first - lo:: p] = False
+    return flags
 
 
-def segment_sieve(lo: int, hi: int, capacity: int | None = None) -> MangoldtTable:
+def _prime_powers(base, lo: int, hi: int, log):
+    """(p^k, log(p)) for the proper powers p^k, k >= 2, of the base primes
+    that fall in (lo, hi]; _prime_mask clears them all."""
+    for p in base:
+        lp = log(p)
+        pk = p * p
+        while pk <= hi:
+            if pk > lo:
+                yield pk, lp
+            pk *= p
+
+
+def segment_sieve(lo: int, hi: int) -> MangoldtTable:
     """Mangoldt table on the half-open block (lo, hi], i.e. integers
-    lo+1 .. hi.  Needs base primes up to sqrt(hi) only."""
-    capacity = DEFAULT_SEGMENT_CAPACITY if capacity is None else capacity
-    if lo < 1 or hi <= lo:
-        raise ValueError(f"need 1 <= lo < hi, got ({lo}, {hi}]")
+    lo+1 .. hi, of at most DEFAULT_SEGMENT_CAPACITY entries.  Needs base
+    primes up to sqrt(hi) only."""
+    if lo < 0 or hi <= lo:
+        raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
     n = hi - lo
-    if n > capacity:
+    if n > DEFAULT_SEGMENT_CAPACITY:
         raise CapacityError(
-            f"segment length {n} exceeds segment capacity {capacity}"
+            f"segment length {n} exceeds segment capacity {DEFAULT_SEGMENT_CAPACITY}"
         )
     start = lo + 1
     values = np.zeros(n)
     base = np.flatnonzero(sieve_primes(math.isqrt(hi)))
-    # unmarked entries are primes (start >= 2, so no special case for 1)
-    prime_idx = np.flatnonzero(~_composite_mask(start, hi, base))
+    prime_idx = np.flatnonzero(_prime_mask(start, hi, base))
+    if start == 1:
+        prime_idx = prime_idx[1:]  # 1 is left set, but is no prime
     if len(prime_idx):
-        values[prime_idx] = np.log((prime_idx + start).astype(np.float64))
-    # proper prime powers of the base primes fall inside the composite mask
-    for p in base:
-        p = int(p)
-        lp = float(np.log(float(p)))
-        pk = p * p
-        while pk <= hi:
-            if pk > lo:
-                values[pk - start] = lp
-            pk *= p
+        values[prime_idx] = np.log(prime_idx + float(start))  # exact below 2^53
+    for pk, lp in _prime_powers(base.tolist(), lo, hi, lambda p: np.log(float(p))):
+        values[pk - start] = lp
     return MangoldtTable(lo=start, hi=hi, values=values)
 
 
@@ -215,7 +201,7 @@ def mangoldt_many(vals) -> np.ndarray:
 
     The values are covered by segments of at most DEFAULT_SEGMENT_CAPACITY
     integers, each starting at the first value not yet covered, and each
-    segment is sieved with the composite mask of segment_sieve.  A value
+    segment is sieved with the prime mask of segment_sieve.  A value
     left unmarked is prime and carries math.log(v), not np.log, which
     differs from it in the last bit on about one integer in 20000 (numpy
     2.4, x86-64); a proper prime power p^k carries math.log(p).  Base primes run to the square
@@ -240,21 +226,15 @@ def mangoldt_many(vals) -> np.ndarray:
         start = int(vals[i])
         j = int(np.searchsorted(vals, start + capacity))
         seg = vals[i:j]
-        prime = ~_composite_mask(start, int(seg[-1]), base)[seg - start]
+        prime = _prime_mask(start, int(seg[-1]), base)[seg - start]
         out[i:j][prime] = [math.log(v) for v in seg[prime].tolist()]
         i = j
-    powers, logs = [], []
-    for p in base.tolist():
-        lp = math.log(p)
-        pk = p * p
-        while pk <= top:
-            powers.append(pk)
-            logs.append(lp)
-            pk *= p
-    if powers:
+    pairs = list(_prime_powers(base.tolist(), 0, top, math.log))
+    if pairs:
+        powers, logs = (np.asarray(c) for c in zip(*pairs))
         idx = np.minimum(np.searchsorted(vals, powers), len(vals) - 1)
-        hit = vals[idx] == np.asarray(powers)
-        out[idx[hit]] = np.asarray(logs)[hit]
+        hit = vals[idx] == powers
+        out[idx[hit]] = logs[hit]
     return out
 
 

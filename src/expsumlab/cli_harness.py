@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -36,7 +37,6 @@ class RunConfig:
     timing: bool = False
     eps: float = 0.1
     baseline: str | None = None
-    capacity: int | None = None
 
 
 def _parse_bool(text: str) -> bool:
@@ -50,7 +50,7 @@ def _parse_bool(text: str) -> bool:
 
 _COERCE = {
     "seed": int, "format": str, "timing": _parse_bool,
-    "eps": float, "baseline": str, "capacity": int,
+    "eps": float, "baseline": str,
 }
 
 
@@ -95,6 +95,8 @@ def resolve_config(args, environ=None) -> RunConfig:
             setattr(cfg, key, val)
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {cfg.format!r}")
+    if not 0 < cfg.eps < math.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {cfg.eps!r}")
     return cfg
 
 
@@ -219,7 +221,7 @@ def _run_fraks(args, cfg):
         rows = _suite_rows(cfg, suites.fraks_suite, x=args.x, d_values=(args.d,),
                            delta=args.delta)
         return _emit(rows, cfg, "fraks", {"x": args.x, "D": args.d})
-    value = fm.frak_s(args.x, args.d, args.delta, capacity=cfg.capacity)
+    value = fm.frak_s(args.x, args.d, args.delta)
     row = ReportRow("fraks", f"D{args.d}",
                     {"x": args.x, "D": args.d, "delta": args.delta}, value)
     return _emit([row], cfg, "fraks", {"x": args.x, "D": args.d})
@@ -314,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--baseline", default=None,
                    help="path to an alternative baseline file")
-    p.add_argument("--capacity", type=int, default=None,
-                   help="segment sieve capacity")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sieve", help="sieve consistency battery")

@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import arith_core
 from .arith_core import (
-    DEFAULT_SEGMENT_CAPACITY,
     chunked_tree_sum,
     mangoldt_many,
     mangoldt_point,
@@ -54,11 +54,10 @@ def s_lambda_direct(x: int, workers: int = 1) -> float:
             f"x = {x} exceeds the direct budget {DIRECT_LIMIT}; "
             "use s_lambda_blocked"
         )
-    lam = np.zeros(x + 1)
-    lam[1:] = sieve_mangoldt(x).values
+    lam = sieve_mangoldt(x).values  # lam[d - 1] = Lambda(d)
 
     def chunk(lo, hi):
-        vals = lam[x // np.arange(lo + 1, hi + 1, dtype=np.int64)]
+        vals = lam[x // np.arange(lo + 1, hi + 1, dtype=np.int64) - 1]
         return float(chunked_tree_sum(len(vals), lambda a, b: vals[a:b].sum()))
 
     return float(chunked_tree_sum(x, chunk, _DIRECT_CHUNK, workers))
@@ -132,20 +131,19 @@ def tail_bound(T: int) -> float:
     return (math.log(T) + 1.0) / T
 
 
-def main_constant(T: int, capacity: int | None = None,
-                  workers: int = 1) -> MainConstant:
+def main_constant(T: int, workers: int = 1) -> MainConstant:
     """C(T) by segmented sieve, plus tail_bound(T)."""
     if T != int(T) or T < 2:
         raise ValueError(f"T must be an integer >= 2, got {T!r}")
     T = int(T)
-    capacity = DEFAULT_SEGMENT_CAPACITY if capacity is None else capacity
+    capacity = arith_core.DEFAULT_SEGMENT_CAPACITY
     parts = []
     lo = 1
     while lo < T:
         hi = min(T, lo + capacity)
         d = np.arange(lo + 1, hi + 1, dtype=np.float64)
         # no name for the table, so only d and vals outlive the iteration
-        vals = segment_sieve(lo, hi, capacity).values / (d * (d + 1.0))
+        vals = segment_sieve(lo, hi).values / (d * (d + 1.0))
         parts.append(float(chunked_tree_sum(hi - lo, lambda a, b: vals[a:b].sum(),
                                             workers=workers)))
         lo = hi
@@ -161,8 +159,7 @@ def best_constant(T: int = DEFAULT_BEST_T) -> MainConstant:
 # windowed sawtooth sums
 
 
-def _psi_window_sum(x: float, lo: int, hi: int, delta: float,
-                    capacity: int) -> float:
+def _psi_window_sum(x: float, lo: int, hi: int, delta: float) -> float:
     """sum_{lo < d <= hi} Lambda(d) psi(x/(d+delta)) in fixed segment order.
 
     Refused when the largest quotient x/(lo+1+delta) exceeds QUOTIENT_GUARD,
@@ -174,11 +171,12 @@ def _psi_window_sum(x: float, lo: int, hi: int, delta: float,
         raise CapacityError(
             f"peak quotient {peak:.3g} exceeds the precision guard 2^46"
         )
+    capacity = arith_core.DEFAULT_SEGMENT_CAPACITY
     parts = []
     seg_lo = lo
     while seg_lo < hi:
         seg_hi = min(hi, seg_lo + capacity)
-        table = segment_sieve(seg_lo, seg_hi, capacity)
+        table = segment_sieve(seg_lo, seg_hi)
         d = np.arange(seg_lo + 1, seg_hi + 1, dtype=np.float64)
         vals = table.values * psi_frac_many(x / (d + delta))
         parts.append(float(chunked_tree_sum(seg_hi - seg_lo, lambda a, b: vals[a:b].sum())))
@@ -186,34 +184,32 @@ def _psi_window_sum(x: float, lo: int, hi: int, delta: float,
     return math.fsum(parts)
 
 
-def frak_s(x: float, D: int, delta: float = 0.0,
-           capacity: int | None = None) -> float:
+def frak_s(x: float, D: int, delta: float = 0.0) -> float:
     """sum_{D < d <= 2D} Lambda(d) psi(x/(d+delta))."""
-    if x < 3:
-        raise ValueError("x must be >= 3")
+    if not math.isfinite(x) or x < 3:
+        raise ValueError(f"x must be a finite number >= 3, got {x!r}")
     if D < 1 or D != int(D):
         raise ValueError("D must be a positive integer")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not math.isfinite(delta) or delta < 0:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
     D = int(D)
-    capacity = DEFAULT_SEGMENT_CAPACITY if capacity is None else capacity
-    return _psi_window_sum(x, D, 2 * D, delta, capacity)
+    return _psi_window_sum(x, D, 2 * D, delta)
 
 
-def r_delta(x: float, E: float, delta: float = 0.0,
-            capacity: int | None = None) -> float:
+def r_delta(x: float, E: float, delta: float = 0.0) -> float:
     """sum_{E < d <= x/E} Lambda(d) psi(x/(d+delta)); 0 when the window is
     empty (E >= sqrt(x))."""
-    if E < 1:
-        raise ValueError("E must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be a finite number, got {x!r}")
+    if not math.isfinite(E) or E < 1:
+        raise ValueError(f"E must be a finite number >= 1, got {E!r}")
+    if not math.isfinite(delta) or delta < 0:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
     lo = int(math.floor(E))
     hi = int(math.floor(x / E))
     if hi <= lo:
         return 0.0
-    capacity = DEFAULT_SEGMENT_CAPACITY if capacity is None else capacity
-    return _psi_window_sum(x, lo, hi, delta, capacity)
+    return _psi_window_sum(x, lo, hi, delta)
 
 
 # ---------------------------------------------------------------------------

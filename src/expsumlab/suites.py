@@ -328,6 +328,8 @@ def load_baselines() -> dict:
 def regression_instances(seed: int = 20260801, count: int = 24):
     """The frozen grid: seeded random in-regime instances plus fixed
     decomposition scenarios."""
+    if count < 0:
+        raise ValueError(f"--count must be >= 0, got {count}")
     insts = list(ee.random_regime_instances(count, seed=seed))
     cases = [f"rand_{i:02d}" for i in range(count)]
     for hp, mode, delta in ((1, "rectangle", 0.0), (4, "rectangle", 1.0),
@@ -443,7 +445,11 @@ def exponent_suite() -> SuiteResult:
 
 def sieve_suite(seed: int = 0, limit: int = 10 ** 6, window: int = 10 ** 4) -> SuiteResult:
     """Full sieve against segments and point evaluation, plus the Chebyshev
-    partial sums against a coarse envelope."""
+    partial sums against a coarse envelope.  The segment (limit // 2,
+    limit // 2 + window] must lie inside the full table."""
+    if limit < 2 or not 1 <= window <= limit - limit // 2:
+        raise ValueError(f"need --limit >= 2 and 1 <= --window <= --limit - --limit // 2, "
+                         f"got --limit {limit} --window {window}")
     rows = []
     full = sieve_mangoldt(limit)
     lo = limit // 2

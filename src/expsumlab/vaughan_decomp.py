@@ -91,8 +91,7 @@ def alpha_tables(D: int) -> AlphaTables:
     cut = vaughan_cut(D)
     rough_hi = (2 * D) // (cut + 1)
     mu = sieve_mobius(cut)
-    lam = np.zeros(rough_hi + 1)
-    lam[1:] = sieve_mangoldt(rough_hi).values
+    lam = sieve_mangoldt(rough_hi).values  # lam[n - 1] = Lambda(n)
 
     ms = np.arange(1, cut + 1, dtype=np.float64)
     alpha2 = mu[1:].astype(np.float64)
@@ -107,13 +106,13 @@ def alpha_tables(D: int) -> AlphaTables:
         # alpha3: products a*b with b <= cut landing above the cut
         b = np.arange(cut // a + 1, cut + 1, dtype=np.int64)
         if len(b):
-            alpha3[a * b - cut - 1] -= mu[a] * lam[b]
+            alpha3[a * b - cut - 1] -= mu[a] * lam[b - 1]
         # alpha5: multiples of a above the cut
         first = (cut // a + 1) * a
         if first <= rough_hi:
             alpha5[first - cut - 1:: a] -= mu[a]
     alpha4 = np.ones(rough_n)
-    alpha6 = lam[cut + 1:]
+    alpha6 = lam[cut:]
 
     return AlphaTables(D=D, cut=cut, rough_hi=rough_hi, alpha1=alpha1,
                        alpha2=alpha2, alpha3=alpha3, alpha4=alpha4,
@@ -192,10 +191,10 @@ def direct_lambda_sum(D: int, g) -> float:
 def frak_s_decomposed(x: float, D: int, delta: float) -> VaughanSplit:
     """The block sum of Lambda(d) psi(x/(d+delta)) through the four-sum
     decomposition; .total must match the direct evaluation."""
-    if x < 3:
-        raise ValueError("need x >= 3")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not math.isfinite(x) or x < 3:
+        raise ValueError(f"x must be a finite number >= 3, got {x!r}")
+    if not math.isfinite(delta) or delta < 0:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
 
     def g(d: np.ndarray) -> np.ndarray:
         return psi_frac_many(x / (d.astype(np.float64) + delta))

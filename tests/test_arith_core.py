@@ -17,6 +17,7 @@ from expsumlab.arith_core import (
     segment_sieve,
     sieve_mangoldt,
     sieve_mobius,
+    sieve_primes,
 )
 from expsumlab.errors import CapacityError
 from expsumlab.seeding import DetRand
@@ -74,7 +75,29 @@ def test_segment_matches_full_slice():
     full = sieve_mangoldt(10 ** 5)
     seg = segment_sieve(5 * 10 ** 4, 6 * 10 ** 4)
     want = full.values[5 * 10 ** 4: 6 * 10 ** 4]
-    assert np.allclose(seg.values, want, rtol=1e-14, atol=0.0)
+    assert seg.values.tobytes() == want.tobytes()
+
+
+def _trial_division_primes(limit):
+    return [n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+            for n in range(limit + 1)]
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_sieve_primes_against_trial_division(monkeypatch, block):
+    # every limit up to 400, and limits next to prime squares, where the
+    # base primes of the recursive sieve gain or lose a member
+    if block is not None:
+        monkeypatch.setattr(arith_core, "_MASK_BLOCK", block)
+    squares = [p * p + k for p in (2, 3, 5, 7, 11, 31, 97, 101, 211)
+               for k in (-1, 0, 1)]
+    oracle = _trial_division_primes(max(squares))
+    for limit in [*range(401), *squares]:
+        flags = sieve_primes(limit)
+        assert flags.dtype == bool
+        assert flags.tolist() == oracle[:limit + 1], limit
+    with pytest.raises(ValueError):
+        sieve_primes(-1)
 
 
 def test_segment_high_window_vs_point():
@@ -188,11 +211,16 @@ def test_sieve_mobius_small():
         assert mu[n] == v
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT_CAPACITY", 10 ** 5)
     with pytest.raises(CapacityError):
-        sieve_mangoldt(10 ** 6, capacity=10 ** 5)
+        sieve_mangoldt(10 ** 6)
     with pytest.raises(CapacityError):
-        segment_sieve(1, 10 ** 6, capacity=10 ** 5)
+        segment_sieve(1, 10 ** 6)
+    assert len(sieve_mangoldt(10 ** 5)) == 10 ** 5
+    for lo, hi in ((-1, 5), (5, 5)):
+        with pytest.raises(ValueError, match="0 <= lo < hi"):
+            segment_sieve(lo, hi)
 
 
 def test_table_value_at_range():

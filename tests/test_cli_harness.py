@@ -13,7 +13,7 @@ from expsumlab.cli_harness import (
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for key in ("SEED", "FORMAT", "TIMING", "EPS", "BASELINE", "CAPACITY"):
+    for key in ("SEED", "FORMAT", "TIMING", "EPS", "BASELINE"):
         monkeypatch.delenv(ENV_PREFIX + key, raising=False)
 
 
@@ -103,6 +103,17 @@ def test_runtime_error_exits_one(capsys):
     (["--baseline", "NOTOBJECT", "expsum"], "JSON object"),
     (["--baseline", "TEXTENTRY", "expsum"], "'rand_03' is not a number"),
     (["frak-s", "--x", "1e30", "--d", "5"], "precision guard"),
+    (["frak-s", "--x", "nan", "--d", "5"], "x must be a finite number"),
+    (["frak-s", "--x", "100", "--d", "5", "--delta", "nan"],
+     "delta must be a finite number"),
+    (["sieve", "--limit", "10", "--window", "10000"], "--window"),
+    (["sieve", "--limit", "1"], "--limit >= 2"),
+    (["--eps", "nan", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
+    (["--eps", "-1", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
+    (["--eps", "inf", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
+    (["EXPSUMLAB_EPS=nan", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
+    (["--config", "NANEPS", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
+    (["expsum", "--count", "-1"], "--count must be >= 0"),
     (["expcalc", "substitute", "--assign", "E=x"], "needs --terms"),
     (["expcalc", "balance", "--range", "8/17:1/2"], "needs --terms"),
     (["expcalc", "dominate", "--b", "D", "--range", "0:1"], "needs --a"),
@@ -114,10 +125,13 @@ def test_runtime_error_exits_one(capsys):
     (["dls", "--count", "-4"], "no rows"),
 ], ids=["msum-budget", "expsum-count30", "expsum-partial-baseline",
         "expsum-list-baseline", "expsum-text-entry", "frak-s-precision",
+        "frak-s-nan", "frak-s-delta-nan", "sieve-window-wide",
+        "sieve-limit1", "eps-nan", "eps-negative", "eps-inf", "eps-env-nan",
+        "eps-file-nan", "expsum-count-neg",
         "substitute-no-terms", "balance-no-terms", "dominate-no-a",
         "dominate-no-b", "dominate-no-range", "psi-count0", "psi-count-neg",
         "dls-count0", "dls-count-neg"])
-def test_refused_input_is_one_error_line(capsys, tmp_path, argv, needle):
+def test_refused_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, needle):
     from expsumlab.suites import load_baselines
 
     partial = load_baselines()
@@ -127,9 +141,15 @@ def test_refused_input_is_one_error_line(capsys, tmp_path, argv, needle):
     text_entry = load_baselines()
     text_entry["expsum_thm1"]["rand_03"] = "0.5"
     files = {"PARTIAL": path, "NOTOBJECT": tmp_path / "list.json",
-             "TEXTENTRY": tmp_path / "text.json"}
+             "TEXTENTRY": tmp_path / "text.json", "NANEPS": tmp_path / "eps.cfg"}
     files["NOTOBJECT"].write_text("[1, 2]")
     files["TEXTENTRY"].write_text(json.dumps(text_entry))
+    files["NANEPS"].write_text("eps = nan\n")
+    # leading NAME=value words set the environment, as on a shell line
+    argv = list(argv)
+    while argv[0].startswith(ENV_PREFIX):
+        name, _, value = argv.pop(0).partition("=")
+        monkeypatch.setenv(name, value)
     argv = [str(files.get(a, a)) for a in argv]
     rc, out, err = _run(capsys, argv)
     assert rc == 1
@@ -155,6 +175,25 @@ def test_workers_below_one_rejected(capsys, tmp_path, via, workers):
         assert rc == 1
         assert out == ""
         assert err.startswith("error:") and "unknown key 'workers'" in err
+
+
+@pytest.mark.parametrize("via", ["flag", "file"])
+def test_capacity_is_not_a_setting(capsys, tmp_path, via):
+    # one segment size serves every sieve: the flag is a usage error and
+    # the config key an unknown key
+    if via == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(["--capacity", "5000", "frak-s", "--x", "12345.6", "--d", "1000"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("capacity = 5000\n")
+        rc, out, err = _run(capsys, ["--config", str(cfg), "frak-s",
+                                     "--x", "12345.6", "--d", "1000"])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and "unknown key 'capacity'" in err
 
 
 def test_failure_reported_on_stderr(capsys, tmp_path):
@@ -195,8 +234,9 @@ def test_config_file_layers(capsys, tmp_path, monkeypatch):
 def test_env_coercion(monkeypatch):
     monkeypatch.setenv(ENV_PREFIX + "TIMING", "yes")
     monkeypatch.setenv(ENV_PREFIX + "EPS", "0.25")
-    # not a setting any more, so ignored
+    # not settings any more, so ignored
     monkeypatch.setenv(ENV_PREFIX + "WORKERS", "4")
+    monkeypatch.setenv(ENV_PREFIX + "CAPACITY", "5000")
     over = env_overrides()
     assert over == {"timing": True, "eps": 0.25}
     monkeypatch.setenv(ENV_PREFIX + "TIMING", "maybe")

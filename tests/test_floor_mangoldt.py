@@ -90,13 +90,22 @@ def test_capacity_guards():
 
 
 def test_capacity_reaches_segment_sieve(monkeypatch):
-    # a capacity above the sieve's own default must be passed on, not
-    # silently replaced by that default
+    # the one segment size is read at call time: a smaller one cuts both
+    # sums into several segments, each within the sieve's guard
     want_c = fm.main_constant(10 ** 4).value
     want_s = fm.frak_s(12345.6, 3000, 0.5)
+    segments = []
+
+    def counted(lo, hi):
+        segments.append((lo, hi))
+        return arith_core.segment_sieve(lo, hi)
+
     monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT_CAPACITY", 1000)
-    got_c = fm.main_constant(10 ** 4, capacity=5000).value
-    got_s = fm.frak_s(12345.6, 3000, 0.5, capacity=5000)
+    monkeypatch.setattr(fm, "segment_sieve", counted)
+    got_c = fm.main_constant(10 ** 4).value
+    assert len(segments) == 10
+    got_s = fm.frak_s(12345.6, 3000, 0.5)
+    assert len(segments) == 13
     assert got_c == pytest.approx(want_c, rel=1e-12)
     assert got_s == pytest.approx(want_s, rel=1e-12, abs=1e-9)
 
@@ -157,6 +166,10 @@ def test_frak_s_validation():
         fm.frak_s(100.0, 0)
     with pytest.raises(ValueError):
         fm.frak_s(100.0, 5, delta=-1.0)
+    for x, delta in ((math.nan, 0.0), (math.inf, 0.0), (100.0, math.nan),
+                     (100.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            fm.frak_s(x, 5, delta)
 
 
 def test_psi_window_precision_guard():
@@ -190,6 +203,11 @@ def test_r_delta_validation():
         fm.r_delta(100.0, 0.5)
     with pytest.raises(ValueError):
         fm.r_delta(100.0, 2.0, delta=-0.1)
+    for x, E, delta in ((math.inf, 2.0, 0.0), (math.nan, 2.0, 0.0),
+                        (100.0, math.inf, 0.0), (100.0, math.nan, 0.0),
+                        (100.0, 2.0, math.nan), (100.0, 2.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            fm.r_delta(x, E, delta)
 
 
 def test_error_curve_invariants():

@@ -121,3 +121,7 @@ def test_frak_s_decomposed_validation():
         frak_s_decomposed(2.0, 1000, 0.0)
     with pytest.raises(ValueError):
         frak_s_decomposed(500.0, 1000, -0.5)
+    for x, delta in ((math.nan, 0.0), (math.inf, 0.0), (5000.0, math.nan),
+                     (5000.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            frak_s_decomposed(x, 1000, delta)
