@@ -20,6 +20,7 @@ tallied separately as boundary cases and surfaced in DioResult.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -285,7 +286,16 @@ class DioResult:
 
 def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
                spec: PerturbationSpec | None = None, **params) -> DioResult:
-    """Count + bound + boundary tally in one record."""
+    """Count + bound + boundary tally in one record.
+
+    A non-finite exponent, X or perturbation delta is refused: every
+    comparison with NaN is false, so the count would read 0 and pass."""
+    checked = {k: params[k] for k in ("alpha", "beta", "gamma", "X") if k in params}
+    if spec is not None:
+        checked["delta"] = spec.delta
+    for name, value in checked.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     in_regime = True
     if kind == "B0":
         count, boundary = _count_b0(params["N"], params["beta"], params["X"])

@@ -46,6 +46,29 @@ def _check_x(x) -> int:
     return int(x)
 
 
+def _sieved_sum(lo: int, hi: int, term, workers: int = 1) -> float:
+    """sum_{lo < d <= hi} term(Lambda(d), d) in a fixed order.
+
+    The range is sieved in segments of DEFAULT_SEGMENT_CAPACITY integers.
+    Each segment is summed over 65536-entry chunks by chunked_tree_sum, and
+    each chunk calls term on its own slice of the table and its own d (as
+    float64, exact below 2^53), so no temporary outgrows a chunk; term must
+    be elementwise.  The segment partials are combined with math.fsum."""
+    capacity = arith_core.DEFAULT_SEGMENT_CAPACITY
+    parts = []
+    for seg_lo in range(lo, hi, capacity):
+        seg_hi = min(hi, seg_lo + capacity)
+        lam = segment_sieve(seg_lo, seg_hi).values
+
+        def chunk(a, b):
+            d = np.arange(seg_lo + a + 1, seg_lo + b + 1, dtype=np.float64)
+            return term(lam[a:b], d).sum()
+
+        parts.append(float(chunked_tree_sum(seg_hi - seg_lo, chunk, workers=workers)))
+        del lam  # free this table before the next segment is sieved
+    return math.fsum(parts)
+
+
 def s_lambda_direct(x: int, workers: int = 1) -> float:
     """Literal sum of Lambda([x/n]) over n <= x from one full sieve."""
     x = _check_x(x)
@@ -57,8 +80,10 @@ def s_lambda_direct(x: int, workers: int = 1) -> float:
     lam = sieve_mangoldt(x).values  # lam[d - 1] = Lambda(d)
 
     def chunk(lo, hi):
-        vals = lam[x // np.arange(lo + 1, hi + 1, dtype=np.int64) - 1]
-        return float(chunked_tree_sum(len(vals), lambda a, b: vals[a:b].sum()))
+        def inner(a, b):
+            return lam[x // np.arange(lo + a + 1, lo + b + 1, dtype=np.int64) - 1].sum()
+
+        return float(chunked_tree_sum(hi - lo, inner))
 
     return float(chunked_tree_sum(x, chunk, _DIRECT_CHUNK, workers))
 
@@ -97,11 +122,13 @@ def s_lambda_blocked(x: int, workers: int = 1) -> float:
     if cut == 0:
         return part1
     lam = sieve_mangoldt(cut).values
-    d = np.arange(1, cut + 1, dtype=np.int64)
-    counts = x // d - np.maximum(x // (d + 1), n0)
-    vals = lam * counts.astype(np.float64)
-    part2 = float(chunked_tree_sum(cut, lambda a, b: vals[a:b].sum(), workers=workers))
-    return part1 + part2
+
+    def chunk(a, b):
+        d = np.arange(a + 1, b + 1, dtype=np.int64)
+        counts = x // d - np.maximum(x // (d + 1), n0)
+        return (lam[a:b] * counts.astype(np.float64)).sum()
+
+    return part1 + float(chunked_tree_sum(cut, chunk, workers=workers))
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +163,8 @@ def main_constant(T: int, workers: int = 1) -> MainConstant:
     if T != int(T) or T < 2:
         raise ValueError(f"T must be an integer >= 2, got {T!r}")
     T = int(T)
-    capacity = arith_core.DEFAULT_SEGMENT_CAPACITY
-    parts = []
-    lo = 1
-    while lo < T:
-        hi = min(T, lo + capacity)
-        d = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        # no name for the table, so only d and vals outlive the iteration
-        vals = segment_sieve(lo, hi).values / (d * (d + 1.0))
-        parts.append(float(chunked_tree_sum(hi - lo, lambda a, b: vals[a:b].sum(),
-                                            workers=workers)))
-        lo = hi
-    return MainConstant(T=T, value=math.fsum(parts), tail_bound=tail_bound(T))
+    value = _sieved_sum(1, T, lambda lam, d: lam / (d * (d + 1.0)), workers)
+    return MainConstant(T=T, value=value, tail_bound=tail_bound(T))
 
 
 @lru_cache(maxsize=4)
@@ -171,23 +188,16 @@ def _psi_window_sum(x: float, lo: int, hi: int, delta: float) -> float:
         raise CapacityError(
             f"peak quotient {peak:.3g} exceeds the precision guard 2^46"
         )
-    capacity = arith_core.DEFAULT_SEGMENT_CAPACITY
-    parts = []
-    seg_lo = lo
-    while seg_lo < hi:
-        seg_hi = min(hi, seg_lo + capacity)
-        table = segment_sieve(seg_lo, seg_hi)
-        d = np.arange(seg_lo + 1, seg_hi + 1, dtype=np.float64)
-        vals = table.values * psi_frac_many(x / (d + delta))
-        parts.append(float(chunked_tree_sum(seg_hi - seg_lo, lambda a, b: vals[a:b].sum())))
-        seg_lo = seg_hi
-    return math.fsum(parts)
+    return _sieved_sum(lo, hi, lambda lam, d: lam * psi_frac_many(x / (d + delta)))
 
 
 def frak_s(x: float, D: int, delta: float = 0.0) -> float:
     """sum_{D < d <= 2D} Lambda(d) psi(x/(d+delta))."""
     if not math.isfinite(x) or x < 3:
         raise ValueError(f"x must be a finite number >= 3, got {x!r}")
+    # before int(D), which raises OverflowError at inf; a large int is fine
+    if isinstance(D, float) and not math.isfinite(D):
+        raise ValueError(f"D must be a finite number, got {D!r}")
     if D < 1 or D != int(D):
         raise ValueError("D must be a positive integer")
     if not math.isfinite(delta) or delta < 0:

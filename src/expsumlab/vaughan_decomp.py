@@ -32,7 +32,10 @@ high, and the identity genuinely needs those entries (d = 1111 = 11 * 101 at
 D = 1000 requires n = 101 > D^{2/3} = 100).
 
 g must accept a numpy int64 array and return floats; it is only ever
-evaluated on (D, 2D].
+evaluated on (D, 2D].  g must be elementwise: its value at d depends on d
+alone, not on the other entries of the array or on the array's length,
+because the inner ranges of several m are concatenated and evaluated in
+one block (every g in this package is elementwise).
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ from functools import cached_property
 import numpy as np
 
 from .arith_core import integer_kth_root, psi_frac_many, segment_sieve, sieve_mangoldt, sieve_mobius
+
+
+# terms evaluated at once by _row_sum: the chunk size of chunked_tree_sum
+_BLOCK = 1 << 16
 
 
 def vaughan_cut(D: int) -> int:
@@ -119,37 +126,53 @@ def alpha_tables(D: int) -> AlphaTables:
                        alpha5=alpha5, alpha6=alpha6)
 
 
-def _smooth_sum(D: int, coeffs: np.ndarray, g, log_weight: bool) -> float:
-    parts = []
-    for m in range(1, len(coeffs) + 1):
-        c = coeffs[m - 1]
-        if c == 0.0:
-            continue
-        n = np.arange(D // m + 1, (2 * D) // m + 1, dtype=np.int64)
-        if not len(n):
-            continue
-        vals = np.asarray(g(m * n), dtype=np.float64)
-        if log_weight:
-            vals = vals * np.log(n.astype(np.float64))
-        parts.append(c * float(np.sum(vals)))
-    return math.fsum(parts)
+def _row_sum(coeffs: np.ndarray, m: np.ndarray, n_lo: np.ndarray,
+             n_hi: np.ndarray, g, weight=None) -> float:
+    """math.fsum over the rows i with coeffs[i] != 0 and n_lo[i] <= n_hi[i]
+    of coeffs[i] times the row's np.sum of g(m[i] n) weight(n), n from
+    n_lo[i] to n_hi[i].
 
+    Rows are evaluated in blocks of _BLOCK terms, so no temporary outgrows a
+    block; g and weight must be elementwise.  Consecutive short rows share a
+    block: g and weight run once over their concatenated terms, and each
+    row's slice is reduced by np.add.reduce (what np.sum calls), so a row
+    sum keeps the bits of np.sum over the row alone.  A longer row is
+    evaluated block by block into one reused buffer and reduced whole.
+    np.add.reduceat is not used: it differs from np.sum in the last bit on
+    most rows."""
+    keep = (coeffs != 0.0) & (n_lo <= n_hi)
+    coeffs, m, n_lo = coeffs[keep], m[keep], n_lo[keep]
+    lengths = n_hi[keep] - n_lo + 1
+    ends = np.cumsum(lengths)
+    sums = np.empty(len(m))
+    buf = np.empty(0)
 
-def _rough_sum(D: int, cut: int, rough_hi: int, outer: np.ndarray,
-               inner: np.ndarray, g) -> float:
-    parts = []
-    for m in range(cut + 1, rough_hi + 1):
-        c = outer[m - cut - 1]
-        if c == 0.0:
-            continue
-        n_lo = max(cut, D // m) + 1
-        n_hi = min(rough_hi, (2 * D) // m)
-        if n_lo > n_hi:
-            continue
-        n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-        vals = np.asarray(g(m * n), dtype=np.float64) * inner[n - cut - 1]
-        parts.append(c * float(np.sum(vals)))
-    return math.fsum(parts)
+    def terms(mm, n):
+        vals = np.asarray(g(mm * n), dtype=np.float64)
+        return vals if weight is None else vals * weight(n)
+
+    i = 0
+    while i < len(m):
+        base = ends[i] - lengths[i]
+        j = int(np.searchsorted(ends, base + _BLOCK, side="right"))
+        if j == i:  # one row longer than a block
+            size = int(lengths[i])
+            if len(buf) < size:
+                buf = np.empty(size)
+            for a in range(0, size, _BLOCK):
+                n = np.arange(n_lo[i] + a, n_lo[i] + min(a + _BLOCK, size), dtype=np.int64)
+                buf[a:a + len(n)] = terms(m[i], n)
+            sums[i] = np.add.reduce(buf[:size])
+            j = i + 1
+        else:
+            rows = lengths[i:j]
+            starts = ends[i:j] - base - rows
+            n = np.arange(ends[j - 1] - base, dtype=np.int64) + np.repeat(n_lo[i:j] - starts, rows)
+            vals = terms(np.repeat(m[i:j], rows), n)
+            for k, (s0, s1) in enumerate(zip(starts.tolist(), (starts + rows).tolist())):
+                sums[i + k] = np.add.reduce(vals[s0:s1])
+        i = j
+    return math.fsum((coeffs * sums).tolist())
 
 
 @dataclass(frozen=True)
@@ -174,10 +197,15 @@ def vaughan_split(D: int, g, tables: AlphaTables | None = None) -> VaughanSplit:
     t = tables if tables is not None else alpha_tables(D)
     if t.D != D:
         raise ValueError(f"tables built for D={t.D}, not {D}")
-    s1 = _smooth_sum(D, t.alpha1, g, log_weight=False)
-    s2 = _smooth_sum(D, t.alpha2, g, log_weight=True)
-    s3 = _rough_sum(D, t.cut, t.rough_hi, t.alpha3, t.alpha4, g)
-    s4 = _rough_sum(D, t.cut, t.rough_hi, t.alpha5, t.alpha6, g)
+    m = np.arange(1, t.cut + 1, dtype=np.int64)
+    n_lo, n_hi = D // m + 1, (2 * D) // m
+    s1 = _row_sum(t.alpha1, m, n_lo, n_hi, g)
+    s2 = _row_sum(t.alpha2, m, n_lo, n_hi, g, lambda n: np.log(n.astype(np.float64)))
+    m = np.arange(t.cut + 1, t.rough_hi + 1, dtype=np.int64)
+    n_lo = np.maximum(t.cut, D // m) + 1
+    n_hi = np.minimum(t.rough_hi, (2 * D) // m)
+    s3 = _row_sum(t.alpha3, m, n_lo, n_hi, g, lambda n: t.alpha4[n - t.cut - 1])
+    s4 = _row_sum(t.alpha5, m, n_lo, n_hi, g, lambda n: t.alpha6[n - t.cut - 1])
     return VaughanSplit(D=D, cut=t.cut, tables=t, s1=s1, s2=s2, s3=s3, s4=s4)
 
 

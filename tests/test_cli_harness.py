@@ -123,6 +123,10 @@ def test_runtime_error_exits_one(capsys):
     (["psi", "--count", "-4"], "no rows"),
     (["dls", "--count", "0"], "no rows"),
     (["dls", "--count", "-4"], "no rows"),
+    (["dio", "--kind", "B1", "--alpha", "nan"], "alpha must be a finite number"),
+    (["dio", "--kind", "B2", "--delta", "nan"], "delta must be a finite number"),
+    (["dio", "--kind", "B0", "--beta", "nan"], "beta must be a finite number"),
+    (["dio", "--kind", "B0", "--X", "inf"], "X must be a finite number"),
 ], ids=["msum-budget", "expsum-count30", "expsum-partial-baseline",
         "expsum-list-baseline", "expsum-text-entry", "frak-s-precision",
         "frak-s-nan", "frak-s-delta-nan", "sieve-window-wide",
@@ -130,7 +134,8 @@ def test_runtime_error_exits_one(capsys):
         "eps-file-nan", "expsum-count-neg",
         "substitute-no-terms", "balance-no-terms", "dominate-no-a",
         "dominate-no-b", "dominate-no-range", "psi-count0", "psi-count-neg",
-        "dls-count0", "dls-count-neg"])
+        "dls-count0", "dls-count-neg", "dio-alpha-nan", "dio-delta-nan",
+        "dio-beta-nan", "dio-x-inf"])
 def test_refused_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, needle):
     from expsumlab.suites import load_baselines
 

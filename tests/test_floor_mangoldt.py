@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ def test_blocked_matches_direct():
 def _blocked_pointwise(x):
     """S(x) by the pointwise formula: mangoldt_point at every [x/n] with
     n <= isqrt(x), summed with math.fsum over 65536-wide n chunks, plus the
-    multiplicity-weighted sieve over the smaller values."""
+    multiplicity-weighted sieve over the smaller values, built as one
+    whole array before it is summed in 65536-entry chunks."""
     n0 = math.isqrt(x)
 
     def point_chunk(lo, hi):
@@ -170,6 +172,88 @@ def test_frak_s_validation():
                      (100.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             fm.frak_s(x, 5, delta)
+    for D in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="D must be a finite number"):
+            fm.frak_s(100.0, D)
+
+
+# The whole-array forms below build every summand of a segment (or of a
+# 2^20-wide n chunk) as one array before summing it in 65536-entry chunks.
+# The evaluators build each chunk's summands inside the chunk; each chunk's
+# sum sees the same values in the same order, so the results keep their bits.
+
+
+def _sieved_whole_array(lo, hi, term):
+    parts = []
+    seg_lo = lo
+    while seg_lo < hi:
+        seg_hi = min(hi, seg_lo + arith_core.DEFAULT_SEGMENT_CAPACITY)
+        d = np.arange(seg_lo + 1, seg_hi + 1, dtype=np.float64)
+        vals = term(arith_core.segment_sieve(seg_lo, seg_hi).values, d)
+        parts.append(float(chunked_tree_sum(seg_hi - seg_lo, lambda a, b: vals[a:b].sum())))
+        seg_lo = seg_hi
+    return math.fsum(parts)
+
+
+def _main_constant_whole_array(T):
+    return _sieved_whole_array(1, T, lambda lam, d: lam / (d * (d + 1.0)))
+
+
+def _psi_window_whole_array(x, lo, hi, delta):
+    return _sieved_whole_array(lo, hi, lambda lam, d: lam * arith_core.psi_frac_many(x / (d + delta)))
+
+
+def _direct_whole_array(x):
+    lam = sieve_mangoldt(x).values
+
+    def chunk(lo, hi):
+        vals = lam[x // np.arange(lo + 1, hi + 1, dtype=np.int64) - 1]
+        return float(chunked_tree_sum(len(vals), lambda a, b: vals[a:b].sum()))
+
+    return float(chunked_tree_sum(x, chunk, 1 << 20))
+
+
+def test_main_constant_bitwise_whole_array(monkeypatch):
+    for T in (2, 65537, 10 ** 6):
+        assert fm.main_constant(T).value.hex() == _main_constant_whole_array(T).hex(), T
+    # two segments, the second ending in a short chunk
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT_CAPACITY", 200000)
+    T = 330001
+    assert fm.main_constant(T).value.hex() == _main_constant_whole_array(T).hex()
+
+
+def test_windows_and_direct_bitwise_whole_array():
+    x = 3 * 10 ** 6
+    assert fm.s_lambda_direct(x).hex() == _direct_whole_array(x).hex()
+    for delta in (0.0, 0.5, 1.0):
+        got = fm.frak_s(7.3 * x, x, delta)
+        assert got.hex() == _psi_window_whole_array(7.3 * x, x, 2 * x, delta).hex()
+        got = fm.r_delta(x + 0.5, 1.0, delta)
+        assert got.hex() == _psi_window_whole_array(x + 0.5, 1, x, delta).hex()
+
+
+def _peak_traced_bytes(fn):
+    """Peak bytes tracemalloc sees during fn(), after one warm call."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_summands_stay_chunk_sized():
+    # the sieve table (8 bytes an entry) is the one full-length array; a
+    # full-length temporary of the summands would add 8 bytes or more
+    T = 2 * 10 ** 6
+    assert _peak_traced_bytes(lambda: fm.main_constant(T)) < 12 * T
+    assert _peak_traced_bytes(lambda: fm.frak_s(8.8e6, 10 ** 6, 0.5)) < 12 * 10 ** 6
 
 
 def test_psi_window_precision_guard():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from expsumlab import floor_mangoldt as fm
-from expsumlab.arith_core import sieve_mangoldt, sieve_mobius
+from expsumlab.arith_core import psi_frac_many, sieve_mangoldt, sieve_mobius
+from expsumlab.seeding import pair_uniform
 from expsumlab.vaughan_decomp import (
     alpha_tables,
     direct_lambda_sum,
@@ -106,6 +107,65 @@ def test_small_d_rejected():
         alpha_tables(100)
     with pytest.raises(ValueError):
         vaughan_split(50, lambda d: np.ones(len(d)))
+
+
+# The whole-array forms: each row (the inner n range of one m) evaluated as
+# its own array and summed by one np.sum.  vaughan_split evaluates rows in
+# shared 65536-term blocks; each row sum must keep its bits.
+
+
+def _smooth_whole_array(D, coeffs, g, log_weight):
+    parts = []
+    for m in range(1, len(coeffs) + 1):
+        c = coeffs[m - 1]
+        if c == 0.0:
+            continue
+        n = np.arange(D // m + 1, (2 * D) // m + 1, dtype=np.int64)
+        vals = np.asarray(g(m * n), dtype=np.float64)
+        if log_weight:
+            vals = vals * np.log(n.astype(np.float64))
+        parts.append(c * float(np.sum(vals)))
+    return math.fsum(parts)
+
+
+def _rough_whole_array(D, cut, rough_hi, outer, inner, g):
+    parts = []
+    for m in range(cut + 1, rough_hi + 1):
+        c = outer[m - cut - 1]
+        if c == 0.0:
+            continue
+        n_lo = max(cut, D // m) + 1
+        n_hi = min(rough_hi, (2 * D) // m)
+        if n_lo > n_hi:
+            continue
+        n = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+        vals = np.asarray(g(m * n), dtype=np.float64) * inner[n - cut - 1]
+        parts.append(c * float(np.sum(vals)))
+    return math.fsum(parts)
+
+
+def _weights(D):
+    x = 10.0 * D + 0.5
+    return {
+        "ones": lambda d: np.ones(len(d)),
+        "sawtooth": lambda d: psi_frac_many(x / (d.astype(np.float64) + 1.0)),
+        "pair_uniform": lambda d: 2.0 * pair_uniform(0x5EED, d, 0) - 1.0,
+    }
+
+
+# 1000 and 10000: many rows share a block; 99991: the m = 1 row spans two
+@pytest.mark.parametrize("D", [1000, 10000, 99991])
+@pytest.mark.parametrize("case", ["ones", "sawtooth", "pair_uniform"])
+def test_split_bitwise_whole_array(D, case):
+    g = _weights(D)[case]
+    t = alpha_tables(D)
+    split = vaughan_split(D, g, tables=t)
+    want = (_smooth_whole_array(D, t.alpha1, g, False),
+            _smooth_whole_array(D, t.alpha2, g, True),
+            _rough_whole_array(D, t.cut, t.rough_hi, t.alpha3, t.alpha4, g),
+            _rough_whole_array(D, t.cut, t.rough_hi, t.alpha5, t.alpha6, g))
+    got = (split.s1, split.s2, split.s3, split.s4)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_frak_s_decomposition_matches_direct():
