@@ -2,15 +2,17 @@
 
 Provides a prime sieve, a Moebius sieve and one segmented Mangoldt sieve
 (the table on [1, limit] is the segment (0, limit]), all marking composites
-with one blocked loop; Mangoldt values at sorted integers, pointwise
-prime-power detection good to 2^64, the centered fractional part, and a
-deterministic chunked summation scheme whose result is bit-identical for any
-worker count.
+with one blocked loop over the odd integers, whose multiples of 3, 5, 7, 11
+and 13 come stamped from a wheel pattern; Mangoldt values at sorted
+integers, pointwise prime-power detection good to 2^64, the centered
+fractional part, and a deterministic chunked summation scheme whose result
+is bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,8 +21,12 @@ import numpy as np
 from .errors import CapacityError
 
 DEFAULT_SEGMENT_CAPACITY = 1 << 24
-# entries of a composite mask marked at once: 1 MB of flags stays in cache
+# entries of a prime mask marked at once: 1 MB of flags stays in cache
 _MASK_BLOCK = 1 << 20
+# the wheel primes: their multiples are stamped into each mask block from
+# one period of odd-integer flags, _WHEEL[j] for 2j + 1 (period 3*5*7*11*13)
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_PERIOD = math.prod(_WHEEL_PRIMES)
 
 # Deterministic Miller-Rabin witness sets.  Each tuple is a proven-complete
 # witness set below the stated limit; the last covers all of 2^64.
@@ -93,12 +99,15 @@ def sieve_primes(limit: int) -> np.ndarray:
         raise ValueError("limit must be nonnegative")
     flags = np.zeros(limit + 1, dtype=bool)
     if limit >= 2:
-        flags[2:] = _prime_mask(2, limit, np.flatnonzero(sieve_primes(math.isqrt(limit))))
+        flags[2] = True
+        flags[3::2] = _prime_mask(3, limit, np.flatnonzero(sieve_primes(math.isqrt(limit))))
     return flags
 
 
 def sieve_mobius(limit: int) -> np.ndarray:
     """Moebius function on [0, limit] (index 0 set to 0)."""
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
     mu = np.ones(limit + 1, dtype=np.int64)
     mu[0] = 0
     for p in np.flatnonzero(sieve_primes(limit)):
@@ -139,29 +148,70 @@ def sieve_mangoldt(limit: int) -> MangoldtTable:
     return segment_sieve(0, limit)
 
 
+def _wheel_period() -> np.ndarray:
+    flags = np.ones(_WHEEL_PERIOD, dtype=bool)
+    for q in _WHEEL_PRIMES:
+        flags[q // 2:: q] = False  # 2j + 1 = q, 3q, 5q, ...
+    return flags
+
+
+_WHEEL = _wheel_period()
+
+
+def _fill_wheel(block: np.ndarray, phase: int) -> None:
+    """block[k] = _WHEEL[(phase + k) % _WHEEL_PERIOD]: a slice of the period
+    when the block fits inside it, else one rotated period doubled in place."""
+    n = len(block)
+    if phase + n <= _WHEEL_PERIOD:
+        block[:] = _WHEEL[phase:phase + n]
+        return
+    head = _WHEEL_PERIOD - phase
+    block[:head] = _WHEEL[phase:]
+    done = min(n, _WHEEL_PERIOD)
+    block[head:done] = _WHEEL[:done - head]
+    while done < n:
+        step = min(done, n - done)
+        block[done:done + step] = block[:step]
+        done += step
+
+
 def _prime_mask(start: int, hi: int, base) -> np.ndarray:
-    """Flags on [start, hi], start >= 1, cleared at every multiple of a base
-    prime p from p*p on: the one loop that marks composites.  base must hold
-    the primes up to isqrt(hi), so a set entry other than 1 is prime.  The
-    range is marked in blocks of _MASK_BLOCK entries, which stay in cache
-    while every base prime strides over them."""
-    flags = np.ones(hi - start + 1, dtype=bool)
-    base = [int(p) for p in base]
-    for lo in range(start, hi + 1, _MASK_BLOCK):
-        top = min(hi, lo + _MASK_BLOCK - 1)
-        block = flags[lo - start: top - start + 1]
+    """Flags of the odd integers of [start, hi], start >= 1: entry i stands
+    for o0 + 2i, o0 = start | 1.  Cleared at every odd multiple of a base
+    prime p from p*p on, and at every multiple of a wheel prime other than
+    itself: the one loop that marks composites.  base must hold the primes
+    up to isqrt(hi), so a set entry other than 1 is prime.
+
+    The mask is marked in blocks of _MASK_BLOCK entries, which stay in cache
+    while every base prime strides over them.  Each block starts as the
+    wheel pattern, and the wheel primes in range are set again, whether or
+    not they are in base.  That clears no more than the base primes would:
+    a wheel multiple q*k < q*q has a prime factor r <= k with r*r <= hi,
+    and r clears it."""
+    o0 = start | 1
+    flags = np.empty(max(0, (hi - o0) // 2 + 1), dtype=bool)
+    base = [p for p in np.asarray(base).tolist() if p > _WHEEL_PRIMES[-1]]
+    for b0 in range(0, len(flags), _MASK_BLOCK):
+        block = flags[b0:b0 + _MASK_BLOCK]
+        lo = o0 + 2 * b0
+        top = lo + 2 * (len(block) - 1)
+        _fill_wheel(block, lo // 2 % _WHEEL_PERIOD)
         for p in base:
             if p * p > top:
                 break
-            first = max(p * p, ((lo + p - 1) // p) * p)
+            # the first odd multiple k*p >= lo: k = ceil(lo / p), made odd
+            first = max(p * p, ((lo + p - 1) // p | 1) * p)
             if first <= top:
-                block[first - lo:: p] = False
+                block[(first - lo) // 2:: p] = False
+    for q in _WHEEL_PRIMES:
+        if o0 <= q <= hi:
+            flags[(q - o0) // 2] = True
     return flags
 
 
 def _prime_powers(base, lo: int, hi: int, log):
     """(p^k, log(p)) for the proper powers p^k, k >= 2, of the base primes
-    that fall in (lo, hi]; _prime_mask clears them all."""
+    that fall in (lo, hi]; _prime_mask flags none of them."""
     for p in base:
         lp = log(p)
         pk = p * p
@@ -183,13 +233,19 @@ def segment_sieve(lo: int, hi: int) -> MangoldtTable:
             f"segment length {n} exceeds segment capacity {DEFAULT_SEGMENT_CAPACITY}"
         )
     start = lo + 1
-    values = np.zeros(n)
+    o0 = start | 1
     base = np.flatnonzero(sieve_primes(math.isqrt(hi)))
-    prime_idx = np.flatnonzero(_prime_mask(start, hi, base))
-    if start == 1:
-        prime_idx = prime_idx[1:]  # 1 is left set, but is no prime
-    if len(prime_idx):
-        values[prime_idx] = np.log(prime_idx + float(start))  # exact below 2^53
+    mask = _prime_mask(start, hi, base)
+    if o0 == 1:
+        mask[0] = False  # 1 is left set, but is no prime
+    offsets = 2 * np.flatnonzero(mask) + (o0 - start)  # of the odd primes
+    del mask  # free the mask before the table is filled
+    values = np.zeros(n)
+    if len(offsets):
+        logs = offsets + float(start)  # the primes, exact below 2^53
+        values[offsets] = np.log(logs, out=logs)
+    if start <= 2 <= hi:
+        values[2 - start] = np.log(2.0)
     for pk, lp in _prime_powers(base.tolist(), lo, hi, lambda p: np.log(float(p))):
         values[pk - start] = lp
     return MangoldtTable(lo=start, hi=hi, values=values)
@@ -226,7 +282,13 @@ def mangoldt_many(vals) -> np.ndarray:
         start = int(vals[i])
         j = int(np.searchsorted(vals, start + capacity))
         seg = vals[i:j]
-        prime = _prime_mask(start, int(seg[-1]), base)[seg - start]
+        mask = _prime_mask(start, int(seg[-1]), base)
+        prime = (seg & 1).astype(bool)
+        if len(mask):  # an even value reads the entry of the odd integer
+            # below it (an even start the last entry), and its parity drops it
+            prime &= mask[(seg - (start | 1)) >> 1]
+        if start == 2:
+            prime[0] = True
         out[i:j][prime] = [math.log(v) for v in seg[prime].tolist()]
         i = j
     pairs = list(_prime_powers(base.tolist(), 0, top, math.log))
@@ -297,6 +359,7 @@ def mangoldt_point(d: int) -> float:
     factor exhausts it.  Otherwise every prime factor is >= 64, so d = p^k
     forces k <= bit_length/6 and the remaining perfect-power scan is short.
     """
+    d = operator.index(d)
     if d < 2:
         return 0.0
     for p in _TRIAL_PRIMES:

@@ -37,35 +37,67 @@ WINDOW_LIMIT = 10 ** 9
 # double keeps 6 bits of the fractional part, beyond it psi is rounding noise
 QUOTIENT_GUARD = 2.0 ** 46
 _DIRECT_CHUNK = 1 << 20
+# integers sieved at once by _sieved_sum: 16 of chunked_tree_sum's 65536-entry
+# chunks, so a piece's partial is a whole subtree of its segment's chunk tree
+_PIECE = 1 << 20
 DEFAULT_BEST_T = 10 ** 8
 
 
+def require_integer(name: str, value, least: int) -> int:
+    """value as an int, refused with ValueError unless it is an integer
+    >= least.  A non-finite float is refused first: int() would raise
+    OverflowError at inf and a message naming neither value at nan."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value != int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _check_x(x) -> int:
-    if x != int(x) or x < 1:
-        raise ValueError(f"x must be a positive integer, got {x!r}")
-    return int(x)
+    return require_integer("x", x, 1)
+
+
+def check_peak_quotient(x: float, lo: int, delta: float) -> None:
+    """Refuse a sawtooth window (lo, ...] whose largest quotient
+    x/(lo+1+delta) exceeds QUOTIENT_GUARD, rather than sum psi values the
+    double cannot resolve."""
+    peak = x / (lo + 1 + delta)
+    if peak > QUOTIENT_GUARD:
+        raise CapacityError(
+            f"peak quotient {peak:.3g} exceeds the precision guard 2^46"
+        )
 
 
 def _sieved_sum(lo: int, hi: int, term, workers: int = 1) -> float:
     """sum_{lo < d <= hi} term(Lambda(d), d) in a fixed order.
 
-    The range is sieved in segments of DEFAULT_SEGMENT_CAPACITY integers.
-    Each segment is summed over 65536-entry chunks by chunked_tree_sum, and
-    each chunk calls term on its own slice of the table and its own d (as
-    float64, exact below 2^53), so no temporary outgrows a chunk; term must
-    be elementwise.  The segment partials are combined with math.fsum."""
+    The range is cut into segments of DEFAULT_SEGMENT_CAPACITY integers,
+    each summed over 65536-entry chunks by one fan-in-2 tree, and the
+    segment partials are combined with math.fsum.  A segment is sieved and
+    summed in pieces of _PIECE integers: chunked_tree_sum sums a piece's
+    chunks, and _tree_reduce the piece partials.  A piece is an aligned
+    group of 16 chunks, and the level tree of the whole segment is the tree
+    of these group trees, so the split keeps every bit.  Each chunk calls
+    term on its own slice of the table and its own d (as float64, exact
+    below 2^53), so no temporary outgrows a chunk and no table a piece;
+    term must be elementwise."""
     capacity = arith_core.DEFAULT_SEGMENT_CAPACITY
     parts = []
     for seg_lo in range(lo, hi, capacity):
         seg_hi = min(hi, seg_lo + capacity)
-        lam = segment_sieve(seg_lo, seg_hi).values
+        pieces = []
+        for piece_lo in range(seg_lo, seg_hi, _PIECE):
+            piece_hi = min(seg_hi, piece_lo + _PIECE)
+            lam = segment_sieve(piece_lo, piece_hi).values
 
-        def chunk(a, b):
-            d = np.arange(seg_lo + a + 1, seg_lo + b + 1, dtype=np.float64)
-            return term(lam[a:b], d).sum()
+            def chunk(a, b):
+                d = np.arange(piece_lo + a + 1, piece_lo + b + 1, dtype=np.float64)
+                return term(lam[a:b], d).sum()
 
-        parts.append(float(chunked_tree_sum(seg_hi - seg_lo, chunk, workers=workers)))
-        del lam  # free this table before the next segment is sieved
+            pieces.append(chunked_tree_sum(piece_hi - piece_lo, chunk, workers=workers))
+            del lam  # free this table before the next piece is sieved
+        parts.append(float(arith_core._tree_reduce(pieces)))
     return math.fsum(parts)
 
 
@@ -81,11 +113,28 @@ def s_lambda_direct(x: int, workers: int = 1) -> float:
 
     def chunk(lo, hi):
         def inner(a, b):
-            return lam[x // np.arange(lo + a + 1, lo + b + 1, dtype=np.int64) - 1].sum()
+            return _direct_terms(lam, x, lo + a + 1, lo + b).sum()
 
         return float(chunked_tree_sum(hi - lo, inner))
 
     return float(chunked_tree_sum(x, chunk, _DIRECT_CHUNK, workers))
+
+
+def _direct_terms(lam: np.ndarray, x: int, n_s: int, n_e: int) -> np.ndarray:
+    """lam[x // n - 1] for n = n_s .. n_e, element for element.
+
+    Where the chunk has fewer distinct quotients than entries (n above about
+    sqrt(x)), each quotient q from x // n_s down to x // n_e is gathered
+    once and repeated over its run of n, those with x // (q+1) < n <= x // q,
+    clipped to the chunk.  A q strictly between the ends has its whole run
+    inside the chunk, x // q - x // (q+1) >= 0 entries, so no count is
+    negative, and a q that no n takes repeats 0 times."""
+    q_s, q_e = x // n_s, x // n_e
+    if q_s - q_e >= n_e - n_s:
+        return lam[x // np.arange(n_s, n_e + 1, dtype=np.int64) - 1]
+    qs = np.arange(q_s, q_e - 1, -1, dtype=np.int64)
+    counts = np.minimum(x // qs, n_e) - np.maximum(x // (qs + 1) + 1, n_s) + 1
+    return np.repeat(lam[qs - 1], counts)
 
 
 def blocked_block_count(x: int) -> int:
@@ -160,9 +209,7 @@ def tail_bound(T: int) -> float:
 
 def main_constant(T: int, workers: int = 1) -> MainConstant:
     """C(T) by segmented sieve, plus tail_bound(T)."""
-    if T != int(T) or T < 2:
-        raise ValueError(f"T must be an integer >= 2, got {T!r}")
-    T = int(T)
+    T = require_integer("T", T, 2)
     value = _sieved_sum(1, T, lambda lam, d: lam / (d * (d + 1.0)), workers)
     return MainConstant(T=T, value=value, tail_bound=tail_bound(T))
 
@@ -179,15 +226,10 @@ def best_constant(T: int = DEFAULT_BEST_T) -> MainConstant:
 def _psi_window_sum(x: float, lo: int, hi: int, delta: float) -> float:
     """sum_{lo < d <= hi} Lambda(d) psi(x/(d+delta)) in fixed segment order.
 
-    Refused when the largest quotient x/(lo+1+delta) exceeds QUOTIENT_GUARD,
-    rather than summing sawtooth values the double cannot resolve."""
+    Refused by check_peak_quotient when the largest quotient is too large."""
     if hi - lo > WINDOW_LIMIT:
         raise CapacityError(f"window length {hi - lo} exceeds {WINDOW_LIMIT}")
-    peak = x / (lo + 1 + delta)
-    if peak > QUOTIENT_GUARD:
-        raise CapacityError(
-            f"peak quotient {peak:.3g} exceeds the precision guard 2^46"
-        )
+    check_peak_quotient(x, lo, delta)
     return _sieved_sum(lo, hi, lambda lam, d: lam * psi_frac_many(x / (d + delta)))
 
 
@@ -195,14 +237,9 @@ def frak_s(x: float, D: int, delta: float = 0.0) -> float:
     """sum_{D < d <= 2D} Lambda(d) psi(x/(d+delta))."""
     if not math.isfinite(x) or x < 3:
         raise ValueError(f"x must be a finite number >= 3, got {x!r}")
-    # before int(D), which raises OverflowError at inf; a large int is fine
-    if isinstance(D, float) and not math.isfinite(D):
-        raise ValueError(f"D must be a finite number, got {D!r}")
-    if D < 1 or D != int(D):
-        raise ValueError("D must be a positive integer")
+    D = require_integer("D", D, 1)
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
-    D = int(D)
     return _psi_window_sum(x, D, 2 * D, delta)
 
 

@@ -47,6 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith_core import integer_kth_root, psi_frac_many, segment_sieve, sieve_mangoldt, sieve_mobius
+from .floor_mangoldt import check_peak_quotient, require_integer
 
 
 # terms evaluated at once by _row_sum: the chunk size of chunked_tree_sum
@@ -58,9 +59,11 @@ def vaughan_cut(D: int) -> int:
     return integer_kth_root(D, 3)
 
 
-def _require_valid_d(D: int) -> None:
+def _require_valid_d(D: int) -> int:
+    D = require_integer("D", D, 1)
     if D <= 100:
         raise ValueError(f"the decomposition is stated for D > 100, got {D}")
+    return D
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class AlphaTables:
 
 
 def alpha_tables(D: int) -> AlphaTables:
-    _require_valid_d(D)
+    D = _require_valid_d(D)
     cut = vaughan_cut(D)
     rough_hi = (2 * D) // (cut + 1)
     mu = sieve_mobius(cut)
@@ -193,7 +196,7 @@ class VaughanSplit:
 
 
 def vaughan_split(D: int, g, tables: AlphaTables | None = None) -> VaughanSplit:
-    _require_valid_d(D)
+    D = _require_valid_d(D)
     t = tables if tables is not None else alpha_tables(D)
     if t.D != D:
         raise ValueError(f"tables built for D={t.D}, not {D}")
@@ -223,6 +226,8 @@ def frak_s_decomposed(x: float, D: int, delta: float) -> VaughanSplit:
         raise ValueError(f"x must be a finite number >= 3, got {x!r}")
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
+    D = _require_valid_d(D)
+    check_peak_quotient(x, D, delta)
 
     def g(d: np.ndarray) -> np.ndarray:
         return psi_frac_many(x / (d.astype(np.float64) + delta))

@@ -122,6 +122,73 @@ def test_segment_mask_blocks_keep_bits(monkeypatch):
         assert w.tobytes() == g.tobytes()
 
 
+# The full-range forms below are the marking of every integer (even ones and
+# every base prime strided separately) that the odd-only wheel mask replaced;
+# each table and flag array must keep its bytes.
+
+
+def _full_prime_mask(start, hi, base):
+    flags = np.ones(hi - start + 1, dtype=bool)
+    for p in (int(p) for p in base):
+        if p * p > hi:
+            break
+        first = max(p * p, ((start + p - 1) // p) * p)
+        flags[first - start:: p] = False
+    return flags
+
+
+def _full_sieve_primes(limit):
+    flags = np.zeros(limit + 1, dtype=bool)
+    if limit >= 2:
+        flags[2:] = _full_prime_mask(2, limit, np.flatnonzero(sieve_primes(math.isqrt(limit))))
+    return flags
+
+
+def _full_segment_sieve(lo, hi):
+    start = lo + 1
+    values = np.zeros(hi - lo)
+    base = np.flatnonzero(sieve_primes(math.isqrt(hi)))
+    prime_idx = np.flatnonzero(_full_prime_mask(start, hi, base))
+    if start == 1:
+        prime_idx = prime_idx[1:]
+    if len(prime_idx):
+        values[prime_idx] = np.log(prime_idx + float(start))
+    for p in base.tolist():
+        pk = p * p
+        while pk <= hi:
+            if pk > lo:
+                values[pk - start] = np.log(float(p))
+            pk *= p
+    return values
+
+
+# every range with hi < 169 = 13^2, where a wheel prime is set again without
+# being a base prime, and ranges around the 15015-entry wheel period
+_SMALL_RANGES = [(lo, hi) for lo in range(0, 40) for hi in range(lo + 1, 169)]
+_PERIOD_RANGES = [(lo, lo + w) for lo in (15014, 15015, 30029)
+                  for w in (1, 2, 3, 40, 15015, 15016, 30031, 70000)]
+
+
+@pytest.mark.parametrize("block", [None, 5, 37])
+def test_odd_wheel_mask_keeps_bytes(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(arith_core, "_MASK_BLOCK", block)
+    ranges = _PERIOD_RANGES + (_SMALL_RANGES if block is None else _SMALL_RANGES[::11])
+    for lo, hi in ranges:
+        got = segment_sieve(lo, hi).values
+        assert got.tobytes() == _full_segment_sieve(lo, hi).tobytes(), (lo, hi)
+    limits = range(3000) if block is None else (*range(0, 200, 7), 15014, 15015, 30029, 30031)
+    for limit in limits:
+        assert sieve_primes(limit).tobytes() == _full_sieve_primes(limit).tobytes(), limit
+
+
+def test_mangoldt_many_even_starts():
+    # segments that start at 2 or at another even value, where no odd
+    # entry lies below the first value
+    for vals in ([2], [4], [2, 3], [2, 4], [4, 5, 9], [6, 8, 10, 12, 25], [2, 15015, 30030]):
+        assert _hexes(mangoldt_many(vals)) == _hexes(mangoldt_point(v) for v in vals), vals
+
+
 # primes whose np.log differs from math.log in the last bit with numpy 2.4
 # on x86-64; another build may round them alike, and the checks still hold
 _NP_LOG_ULP_PRIMES = (285343, 287549, 351497, 504631, 664679)
@@ -209,6 +276,17 @@ def test_sieve_mobius_small():
     want = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 10: 1, 12: 0, 30: -1}
     for n, v in want.items():
         assert mu[n] == v
+    assert sieve_mobius(0).tolist() == [0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        sieve_mobius(-1)
+
+
+def test_mangoldt_point_takes_numpy_integers():
+    p = 10 ** 12 + 39  # prime, and above the trial-division fast path
+    assert mangoldt_point(np.int64(p)) == mangoldt_point(p) == math.log(p)
+    assert mangoldt_point(np.int64(9)) == math.log(3)
+    with pytest.raises(TypeError):
+        mangoldt_point(7.5)
 
 
 def test_capacity_guard(monkeypatch):

@@ -139,6 +139,17 @@ def test_tail_bound_validation():
         fm.main_constant(2.5)
 
 
+def test_non_finite_x_and_t_refused():
+    # int(inf) raises OverflowError and int(nan) a ValueError naming neither
+    for bad in (math.inf, -math.inf, math.nan):
+        for fn in (fm.s_lambda_direct, fm.s_lambda_blocked, fm.blocked_block_count):
+            with pytest.raises(ValueError, match="x must be a finite number"):
+                fn(bad)
+        with pytest.raises(ValueError, match="T must be a finite number"):
+            fm.main_constant(bad)
+    assert fm.main_constant(100.0).T == 100
+
+
 def test_best_constant_cached():
     a = fm.best_constant(10 ** 4)
     b = fm.best_constant(10 ** 4)
@@ -213,13 +224,40 @@ def _direct_whole_array(x):
     return float(chunked_tree_sum(x, chunk, 1 << 20))
 
 
-def test_main_constant_bitwise_whole_array(monkeypatch):
-    for T in (2, 65537, 10 ** 6):
+def test_main_constant_bitwise_whole_array():
+    for T in (2, 65537, 10 ** 6, 3 * 10 ** 6 + 5):
         assert fm.main_constant(T).value.hex() == _main_constant_whole_array(T).hex(), T
-    # two segments, the second ending in a short chunk
+
+
+@pytest.mark.parametrize("piece", [1 << 16, 1 << 17, fm._PIECE])
+def test_main_constant_pieces_keep_bits(monkeypatch, piece):
+    # segments of 200000, each sieved and summed in pieces of one, two or
+    # 16 chunks, the last piece of each segment short; the whole-array form
+    # sieves each segment at once
     monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT_CAPACITY", 200000)
-    T = 330001
-    assert fm.main_constant(T).value.hex() == _main_constant_whole_array(T).hex()
+    want = _main_constant_whole_array(330001)
+    want_s = _psi_window_whole_array(5.5e5, 1, 550000, 0.5)
+    monkeypatch.setattr(fm, "_PIECE", piece)
+    assert fm.main_constant(330001).value.hex() == want.hex()
+    assert fm.r_delta(5.5e5, 1.0, 0.5).hex() == want_s.hex()
+
+
+def test_direct_bitwise_whole_array():
+    for x in [*range(1, 3001), 3 * 10 ** 6 + 17, fm.DIRECT_LIMIT]:
+        assert fm.s_lambda_direct(x).hex() == _direct_whole_array(x).hex(), x
+
+
+def test_direct_quotient_runs_match_gather():
+    # chunks next to isqrt(x), where the runs of equal quotients begin, and
+    # chunks long enough that some quotients between the ends have no n
+    for x in (10 ** 4, 10 ** 6 + 3, 3 * 10 ** 6 + 17):
+        lam = sieve_mangoldt(x).values
+        r = math.isqrt(x)
+        for n_s in range(r - 3, r + 4):
+            for width in (1, 2, 3, 7, r // 2, r, 4 * r, 65536):
+                n_e = min(x, n_s + width - 1)
+                want = lam[x // np.arange(n_s, n_e + 1, dtype=np.int64) - 1]
+                assert fm._direct_terms(lam, x, n_s, n_e).tobytes() == want.tobytes(), (x, n_s, n_e)
 
 
 def test_windows_and_direct_bitwise_whole_array():

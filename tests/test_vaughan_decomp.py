@@ -5,6 +5,7 @@ import pytest
 
 from expsumlab import floor_mangoldt as fm
 from expsumlab.arith_core import psi_frac_many, sieve_mangoldt, sieve_mobius
+from expsumlab.errors import CapacityError
 from expsumlab.seeding import pair_uniform
 from expsumlab.vaughan_decomp import (
     alpha_tables,
@@ -185,3 +186,26 @@ def test_frak_s_decomposed_validation():
                      (5000.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             frak_s_decomposed(x, 1000, delta)
+
+
+def test_frak_s_decomposed_precision_guard():
+    # the same window and the same refusal as frak_s
+    assert math.isfinite(frak_s_decomposed(fm.QUOTIENT_GUARD * 1001.0, 1000, 0.0).total)
+    for x, delta in ((1e30, 0.0), (fm.QUOTIENT_GUARD * 1001.0 * (1 + 1e-12), 0.0),
+                     (1e30, 0.5)):
+        with pytest.raises(CapacityError, match="precision guard"):
+            fm.frak_s(x, 1000, delta)
+        with pytest.raises(CapacityError, match="precision guard"):
+            frak_s_decomposed(x, 1000, delta)
+
+
+def test_d_must_be_an_integer():
+    for bad, why in ((101.5, "an integer"), (1000.5, "an integer"), (math.inf, "a finite"),
+                     (-math.inf, "a finite"), (math.nan, "a finite")):
+        with pytest.raises(ValueError, match=f"D must be {why}"):
+            alpha_tables(bad)
+        with pytest.raises(ValueError, match=f"D must be {why}"):
+            frak_s_decomposed(1e5, bad, 0.0)
+    t = alpha_tables(1000.0)
+    assert t.D == 1000 and type(t.D) is int
+    assert vaughan_split(1000.0, _wavy(0.1), tables=t).D == 1000
