@@ -1,7 +1,7 @@
 """Arithmetic substrate shared by every evaluator.
 
 Provides a prime sieve, a Moebius sieve and one segmented Mangoldt sieve
-(the table on [1, limit] is the segment (0, limit]), all marking composites
+(Lambda on [1, limit] is the segment (0, limit]), all marking composites
 with one blocked loop over the odd integers, whose multiples of 3, 5, 7, 11
 and 13 come stamped from a wheel pattern; Mangoldt values at sorted
 integers, pointwise prime-power detection good to 2^64, the centered
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,34 +116,8 @@ def sieve_mobius(limit: int) -> np.ndarray:
     return mu
 
 
-@dataclass(frozen=True)
-class MangoldtTable:
-    """Mangoldt values on an inclusive integer range [lo, hi].
-
-    values[i] holds the weight of lo + i: log p at prime powers p^k, else 0.
-    """
-
-    lo: int
-    hi: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.lo < 1 or self.hi < self.lo:
-            raise ValueError(f"bad table range [{self.lo}, {self.hi}]")
-        if len(self.values) != self.hi - self.lo + 1:
-            raise ValueError("values length does not match [lo, hi]")
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
-    def value_at(self, d: int) -> float:
-        if not self.lo <= d <= self.hi:
-            raise IndexError(f"{d} outside table range [{self.lo}, {self.hi}]")
-        return float(self.values[d - self.lo])
-
-
-def sieve_mangoldt(limit: int) -> MangoldtTable:
-    """Mangoldt table on [1, limit]: the segment (0, limit]."""
+def sieve_mangoldt(limit: int) -> np.ndarray:
+    """Lambda(1), ..., Lambda(limit): the segment (0, limit]."""
     return segment_sieve(0, limit)
 
 
@@ -221,10 +194,10 @@ def _prime_powers(base, lo: int, hi: int, log):
             pk *= p
 
 
-def segment_sieve(lo: int, hi: int) -> MangoldtTable:
-    """Mangoldt table on the half-open block (lo, hi], i.e. integers
-    lo+1 .. hi, of at most DEFAULT_SEGMENT_CAPACITY entries.  Needs base
-    primes up to sqrt(hi) only."""
+def segment_sieve(lo: int, hi: int) -> np.ndarray:
+    """Mangoldt values on the half-open block (lo, hi] of at most
+    DEFAULT_SEGMENT_CAPACITY integers, as a float64 array whose entry i is
+    Lambda(lo + 1 + i).  Needs base primes up to sqrt(hi) only."""
     if lo < 0 or hi <= lo:
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
     n = hi - lo
@@ -239,7 +212,7 @@ def segment_sieve(lo: int, hi: int) -> MangoldtTable:
     if o0 == 1:
         mask[0] = False  # 1 is left set, but is no prime
     offsets = 2 * np.flatnonzero(mask) + (o0 - start)  # of the odd primes
-    del mask  # free the mask before the table is filled
+    del mask  # free the mask before the values are filled
     values = np.zeros(n)
     if len(offsets):
         logs = offsets + float(start)  # the primes, exact below 2^53
@@ -248,7 +221,7 @@ def segment_sieve(lo: int, hi: int) -> MangoldtTable:
         values[2 - start] = np.log(2.0)
     for pk, lp in _prime_powers(base.tolist(), lo, hi, lambda p: np.log(float(p))):
         values[pk - start] = lp
-    return MangoldtTable(lo=start, hi=hi, values=values)
+    return values
 
 
 def mangoldt_many(vals) -> np.ndarray:
@@ -263,11 +236,15 @@ def mangoldt_many(vals) -> np.ndarray:
     2.4, x86-64); a proper prime power p^k carries math.log(p).  Base primes run to the square
     root of the largest value, so this suits dense windows, such as the
     top values of [x/n]."""
-    vals = np.asarray(vals, dtype=np.int64)
-    out = np.zeros(len(vals))
-    if len(vals) == 0:
+    given = np.asarray(vals)
+    out = np.zeros(len(given))
+    if len(given) == 0:
         return out
-    if vals[0] < 1 or np.any(np.diff(vals) <= 0):
+    # a fraction, NaN or out-of-range value casts to an integer that differs
+    # from it, and is refused
+    with np.errstate(invalid="ignore"):
+        vals = given.astype(np.int64, copy=False)
+    if np.any(vals != given) or vals[0] < 1 or np.any(np.diff(vals) <= 0):
         raise ValueError("need sorted distinct positive integers")
     capacity = DEFAULT_SEGMENT_CAPACITY
     top = int(vals[-1])

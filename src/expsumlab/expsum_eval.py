@@ -24,12 +24,12 @@ import numpy as np
 from .arith_core import chunked_tree_sum
 from .errors import CapacityError, RejectedInstanceError
 from .exponent_calc import ExponentPair
+from .floor_mangoldt import QUOTIENT_GUARD
 from .seeding import DetRand, pair_uniform
 from .vaaler_psi import vaaler_phi
 from .vaughan_decomp import alpha_tables
 
 DEFAULT_TERM_BUDGET = 10 ** 8
-PHASE_GUARD = 2.0 ** 46
 _INNER_TERMS = 1 << 18
 _COEFF_TOL = 1e-9
 
@@ -67,6 +67,10 @@ class ExpSumInstance:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("X", "alpha", "beta", "gamma", "delta", "K", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if min(self.H, self.M, self.N) < 1:
             raise ValueError("H, M, N must be positive integers")
         if not self.X > 1:
@@ -140,7 +144,7 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1) -> complex:
     npow = n.astype(np.float64) ** inst.gamma
     c0 = inst.X * M ** inst.beta * N ** inst.gamma / H ** inst.alpha
     peak = c0 * float(2 * H) ** inst.alpha / (mpow[0] * npow[0] + inst.delta)
-    if peak > PHASE_GUARD:
+    if peak > QUOTIENT_GUARD:
         raise CapacityError(
             f"peak phase {peak:.3g} exceeds the precision guard 2^46"
         )

@@ -33,10 +33,10 @@ BLOCKED_LIMIT = 10 ** 12
 # to isqrt(x) sieve one window of about BLOCKED_SPLIT * sqrt(x) integers
 BLOCKED_SPLIT = 32
 WINDOW_LIMIT = 10 ** 9
-# the largest quotient x/(d+delta) a sawtooth window may take: at 2^46 a
-# double keeps 6 bits of the fractional part, beyond it psi is rounding noise
+# the largest double reduced mod 1, by a sawtooth window's quotient x/(d+delta)
+# or by eval_exp_sum's phase: at 2^46 a double keeps 6 bits of the fractional
+# part, beyond it the reduction is rounding noise
 QUOTIENT_GUARD = 2.0 ** 46
-_DIRECT_CHUNK = 1 << 20
 # integers sieved at once by _sieved_sum: 16 of chunked_tree_sum's 65536-entry
 # chunks, so a piece's partial is a whole subtree of its segment's chunk tree
 _PIECE = 1 << 20
@@ -58,6 +58,15 @@ def _check_x(x) -> int:
     return require_integer("x", x, 1)
 
 
+def check_window(x: float, delta: float) -> None:
+    """Refuse a sawtooth window unless x is a finite number >= 3 and delta
+    a finite number >= 0."""
+    if not math.isfinite(x) or x < 3:
+        raise ValueError(f"x must be a finite number >= 3, got {x!r}")
+    if not math.isfinite(delta) or delta < 0:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
+
+
 def check_peak_quotient(x: float, lo: int, delta: float) -> None:
     """Refuse a sawtooth window (lo, ...] whose largest quotient
     x/(lo+1+delta) exceeds QUOTIENT_GUARD, rather than sum psi values the
@@ -75,29 +84,27 @@ def _sieved_sum(lo: int, hi: int, term, workers: int = 1) -> float:
     The range is cut into segments of DEFAULT_SEGMENT_CAPACITY integers,
     each summed over 65536-entry chunks by one fan-in-2 tree, and the
     segment partials are combined with math.fsum.  A segment is sieved and
-    summed in pieces of _PIECE integers: chunked_tree_sum sums a piece's
-    chunks, and _tree_reduce the piece partials.  A piece is an aligned
-    group of 16 chunks, and the level tree of the whole segment is the tree
-    of these group trees, so the split keeps every bit.  Each chunk calls
-    term on its own slice of the table and its own d (as float64, exact
-    below 2^53), so no temporary outgrows a chunk and no table a piece;
-    term must be elementwise."""
+    summed in pieces of _PIECE integers: an outer chunked_tree_sum over the
+    pieces combines the piece partials, each the chunked_tree_sum of its
+    piece's chunks.  A piece is an aligned group of 16 chunks, and the level
+    tree of the whole segment is the tree of these group trees, so the split
+    keeps every bit.  Each chunk calls term on its own slice of the piece's
+    Lambda array and its own d (as float64, exact below 2^53), so no
+    temporary outgrows a chunk and no array a piece; term must be
+    elementwise."""
     capacity = arith_core.DEFAULT_SEGMENT_CAPACITY
     parts = []
     for seg_lo in range(lo, hi, capacity):
-        seg_hi = min(hi, seg_lo + capacity)
-        pieces = []
-        for piece_lo in range(seg_lo, seg_hi, _PIECE):
-            piece_hi = min(seg_hi, piece_lo + _PIECE)
-            lam = segment_sieve(piece_lo, piece_hi).values
+        def piece(a, b):
+            lam = segment_sieve(seg_lo + a, seg_lo + b)
 
-            def chunk(a, b):
-                d = np.arange(piece_lo + a + 1, piece_lo + b + 1, dtype=np.float64)
-                return term(lam[a:b], d).sum()
+            def chunk(i, j):
+                d = np.arange(seg_lo + a + i + 1, seg_lo + a + j + 1, dtype=np.float64)
+                return term(lam[i:j], d).sum()
 
-            pieces.append(chunked_tree_sum(piece_hi - piece_lo, chunk, workers=workers))
-            del lam  # free this table before the next piece is sieved
-        parts.append(float(arith_core._tree_reduce(pieces)))
+            return chunked_tree_sum(b - a, chunk, workers=workers)
+
+        parts.append(float(chunked_tree_sum(min(hi, seg_lo + capacity) - seg_lo, piece, _PIECE)))
     return math.fsum(parts)
 
 
@@ -109,15 +116,9 @@ def s_lambda_direct(x: int, workers: int = 1) -> float:
             f"x = {x} exceeds the direct budget {DIRECT_LIMIT}; "
             "use s_lambda_blocked"
         )
-    lam = sieve_mangoldt(x).values  # lam[d - 1] = Lambda(d)
-
-    def chunk(lo, hi):
-        def inner(a, b):
-            return _direct_terms(lam, x, lo + a + 1, lo + b).sum()
-
-        return float(chunked_tree_sum(hi - lo, inner))
-
-    return float(chunked_tree_sum(x, chunk, _DIRECT_CHUNK, workers))
+    lam = sieve_mangoldt(x)  # lam[d - 1] = Lambda(d)
+    return float(chunked_tree_sum(
+        x, lambda lo, hi: _direct_terms(lam, x, lo + 1, hi).sum(), workers=workers))
 
 
 def _direct_terms(lam: np.ndarray, x: int, n_s: int, n_e: int) -> np.ndarray:
@@ -155,8 +156,9 @@ def s_lambda_blocked(x: int, workers: int = 1) -> float:
     BLOCKED_SPLIT * sqrt(x) integers, and mangoldt_many sieves it; each
     value is bitwise the pointwise one, so the partial sums over 65536-wide
     n chunks do not depend on the split.  Multiplicity-sieved: each
-    remaining value d <= x/(isqrt(x)+1) comes from one full sieve and is
-    weighted by [x/d] - max([x/(d+1)], isqrt(x)), its count of n > isqrt(x)."""
+    remaining value d <= x/(isqrt(x)+1) is weighted by
+    [x/d] - max([x/(d+1)], isqrt(x)), its count of n > isqrt(x), and summed
+    by _sieved_sum like C(T) and the sawtooth windows."""
     x = _check_x(x)
     if x > BLOCKED_LIMIT:
         raise CapacityError(f"x = {x} exceeds the blocked budget {BLOCKED_LIMIT}")
@@ -167,17 +169,12 @@ def s_lambda_blocked(x: int, workers: int = 1) -> float:
     head[n1:] = mangoldt_many(x // np.arange(n0, n1, -1, dtype=np.int64))[::-1]
     part1 = float(chunked_tree_sum(n0, lambda lo, hi: math.fsum(head[lo:hi].tolist()),
                                    workers=workers))
-    cut = x // (n0 + 1)
-    if cut == 0:
-        return part1
-    lam = sieve_mangoldt(cut).values
 
-    def chunk(a, b):
-        d = np.arange(a + 1, b + 1, dtype=np.int64)
-        counts = x // d - np.maximum(x // (d + 1), n0)
-        return (lam[a:b] * counts.astype(np.float64)).sum()
+    def weighted(lam, d):
+        d = d.astype(np.int64)
+        return lam * (x // d - np.maximum(x // (d + 1), n0)).astype(np.float64)
 
-    return part1 + float(chunked_tree_sum(cut, chunk, workers=workers))
+    return part1 + _sieved_sum(0, x // (n0 + 1), weighted, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +232,17 @@ def _psi_window_sum(x: float, lo: int, hi: int, delta: float) -> float:
 
 def frak_s(x: float, D: int, delta: float = 0.0) -> float:
     """sum_{D < d <= 2D} Lambda(d) psi(x/(d+delta))."""
-    if not math.isfinite(x) or x < 3:
-        raise ValueError(f"x must be a finite number >= 3, got {x!r}")
+    check_window(x, delta)
     D = require_integer("D", D, 1)
-    if not math.isfinite(delta) or delta < 0:
-        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
     return _psi_window_sum(x, D, 2 * D, delta)
 
 
 def r_delta(x: float, E: float, delta: float = 0.0) -> float:
     """sum_{E < d <= x/E} Lambda(d) psi(x/(d+delta)); 0 when the window is
     empty (E >= sqrt(x))."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be a finite number, got {x!r}")
+    check_window(x, delta)
     if not math.isfinite(E) or E < 1:
         raise ValueError(f"E must be a finite number >= 1, got {E!r}")
-    if not math.isfinite(delta) or delta < 0:
-        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
     lo = int(math.floor(E))
     hi = int(math.floor(x / E))
     if hi <= lo:

@@ -291,7 +291,7 @@ def fraks_suite(x: float = 12345.678, d_values=(1000, 10000),
         tol = 1e-9 * (1.0 + abs(direct))
         rows.append(ReportRow("fraks", f"decomp_D{D}", {"x": x, "D": D, "delta": delta},
                               err, tol, err <= tol))
-        cheb = 0.5 * float(np.sum(segment_sieve(D, 2 * D).values))
+        cheb = 0.5 * float(np.sum(segment_sieve(D, 2 * D)))
         rows.append(ReportRow("fraks", f"cap_D{D}", {"x": x, "D": D, "delta": delta},
                               abs(direct), cheb, abs(direct) <= cheb))
     return _finish("fraks", rows)
@@ -454,17 +454,17 @@ def sieve_suite(seed: int = 0, limit: int = 10 ** 6, window: int = 10 ** 4) -> S
     full = sieve_mangoldt(limit)
     lo = limit // 2
     seg = segment_sieve(lo, lo + window)
-    err = float(np.max(np.abs(seg.values - full.values[lo: lo + window])))
+    err = float(np.max(np.abs(seg - full[lo: lo + window])))
     rows.append(ReportRow("sieve", "segment_agrees", {"limit": limit, "lo": lo},
                           err, 0.0, err == 0.0, seed=seed))
     rng = DetRand(seed)
     worst = 0.0
     for _ in range(200):
         d = rng.integer(2, limit)
-        worst = max(worst, abs(full.value_at(d) - mangoldt_point(d)))
+        worst = max(worst, abs(float(full[d - 1]) - mangoldt_point(d)))
     rows.append(ReportRow("sieve", "point_agrees", {"limit": limit, "samples": 200},
                           worst, 1e-12, worst <= 1e-12, seed=seed))
-    cheb = float(np.sum(full.values))
+    cheb = float(np.sum(full))
     envelope_ok = 0.9 * limit < cheb < 1.1 * limit
     rows.append(ReportRow("sieve", "chebyshev_envelope", {"limit": limit},
                           cheb, 1.1 * limit, envelope_ok, seed=seed))

@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith_core import integer_kth_root, psi_frac_many, segment_sieve, sieve_mangoldt, sieve_mobius
-from .floor_mangoldt import check_peak_quotient, require_integer
+from .floor_mangoldt import check_peak_quotient, check_window, require_integer
 
 
 # terms evaluated at once by _row_sum: the chunk size of chunked_tree_sum
@@ -101,7 +101,7 @@ def alpha_tables(D: int) -> AlphaTables:
     cut = vaughan_cut(D)
     rough_hi = (2 * D) // (cut + 1)
     mu = sieve_mobius(cut)
-    lam = sieve_mangoldt(rough_hi).values  # lam[n - 1] = Lambda(n)
+    lam = sieve_mangoldt(rough_hi)  # lam[n - 1] = Lambda(n)
 
     ms = np.arange(1, cut + 1, dtype=np.float64)
     alpha2 = mu[1:].astype(np.float64)
@@ -216,16 +216,13 @@ def direct_lambda_sum(D: int, g) -> float:
     """Oracle: sum_{D<d<=2D} Lambda(d) g(d) straight off a segment sieve."""
     seg = segment_sieve(D, 2 * D)
     d = np.arange(D + 1, 2 * D + 1, dtype=np.int64)
-    return float(np.sum(seg.values * np.asarray(g(d), dtype=np.float64)))
+    return float(np.sum(seg * np.asarray(g(d), dtype=np.float64)))
 
 
 def frak_s_decomposed(x: float, D: int, delta: float) -> VaughanSplit:
     """The block sum of Lambda(d) psi(x/(d+delta)) through the four-sum
     decomposition; .total must match the direct evaluation."""
-    if not math.isfinite(x) or x < 3:
-        raise ValueError(f"x must be a finite number >= 3, got {x!r}")
-    if not math.isfinite(delta) or delta < 0:
-        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
+    check_window(x, delta)
     D = _require_valid_d(D)
     check_peak_quotient(x, D, delta)
 

@@ -62,11 +62,11 @@ def test_sieve_matches_naive():
     table = sieve_mangoldt(2000)
     oracle = _naive_mangoldt(2000)
     for d in range(1, 2001):
-        assert abs(table.value_at(d) - oracle[d]) <= 1e-12, d
+        assert abs(table[d - 1] - oracle[d]) <= 1e-12, d
 
 
 def test_chebyshev_psi_million():
-    total = math.fsum(sieve_mangoldt(10 ** 6).values)
+    total = math.fsum(sieve_mangoldt(10 ** 6))
     oracle = _psi_chebyshev_oracle(10 ** 6)
     assert abs(total - oracle) <= 1e-9 * oracle
 
@@ -74,8 +74,8 @@ def test_chebyshev_psi_million():
 def test_segment_matches_full_slice():
     full = sieve_mangoldt(10 ** 5)
     seg = segment_sieve(5 * 10 ** 4, 6 * 10 ** 4)
-    want = full.values[5 * 10 ** 4: 6 * 10 ** 4]
-    assert seg.values.tobytes() == want.tobytes()
+    want = full[5 * 10 ** 4: 6 * 10 ** 4]
+    assert seg.tobytes() == want.tobytes()
 
 
 def _trial_division_primes(limit):
@@ -106,18 +106,18 @@ def test_segment_high_window_vs_point():
     rng = DetRand(3)
     for _ in range(100):
         d = rng.integer(lo + 1, lo + 10 ** 4)
-        assert abs(seg.value_at(d) - mangoldt_point(d)) <= 1e-12 * (1 + seg.value_at(d))
+        assert abs(seg[d - lo - 1] - mangoldt_point(d)) <= 1e-12 * (1 + seg[d - lo - 1])
     # and every nonzero entry is a prime power by the point evaluator
-    hits = np.flatnonzero(seg.values)[:50]
+    hits = np.flatnonzero(seg)[:50]
     for i in hits:
         assert mangoldt_point(lo + 1 + int(i)) > 0
 
 
 def test_segment_mask_blocks_keep_bits(monkeypatch):
     # mask blocks far smaller than the table cross every block boundary
-    want = [segment_sieve(lo, hi).values for lo, hi in ((1, 5000), (997, 3000))]
+    want = [segment_sieve(lo, hi) for lo, hi in ((1, 5000), (997, 3000))]
     monkeypatch.setattr(arith_core, "_MASK_BLOCK", 37)
-    got = [segment_sieve(lo, hi).values for lo, hi in ((1, 5000), (997, 3000))]
+    got = [segment_sieve(lo, hi) for lo, hi in ((1, 5000), (997, 3000))]
     for w, g in zip(want, got):
         assert w.tobytes() == g.tobytes()
 
@@ -175,7 +175,7 @@ def test_odd_wheel_mask_keeps_bytes(monkeypatch, block):
         monkeypatch.setattr(arith_core, "_MASK_BLOCK", block)
     ranges = _PERIOD_RANGES + (_SMALL_RANGES if block is None else _SMALL_RANGES[::11])
     for lo, hi in ranges:
-        got = segment_sieve(lo, hi).values
+        got = segment_sieve(lo, hi)
         assert got.tobytes() == _full_segment_sieve(lo, hi).tobytes(), (lo, hi)
     limits = range(3000) if block is None else (*range(0, 200, 7), 15014, 15015, 30029, 30031)
     for limit in limits:
@@ -236,9 +236,12 @@ def test_mangoldt_many_carries_math_log():
 
 def test_mangoldt_many_input_checks():
     assert len(mangoldt_many([])) == 0
-    for bad in ([3, 2], [2, 2], [0, 5]):
+    for bad in ([3, 2], [2, 2], [0, 5], [2.5, 3.7, 9.9], [2.0, 3.5], [2.0, math.nan],
+                [2.0, math.inf], [2.0, 1e30]):
         with pytest.raises(ValueError, match="sorted distinct positive"):
             mangoldt_many(bad)
+    # a float that holds an integer is that integer
+    assert _hexes(mangoldt_many([2.0, 9.0])) == _hexes([math.log(2), math.log(3)])
 
 
 def test_mangoldt_point_known_values():
@@ -301,12 +304,15 @@ def test_capacity_guard(monkeypatch):
             segment_sieve(lo, hi)
 
 
-def test_table_value_at_range():
-    table = segment_sieve(100, 300)
-    assert (table.lo, table.hi) == (101, 300)
-    assert table.value_at(101) == pytest.approx(math.log(101))
-    with pytest.raises(IndexError):
-        table.value_at(100)  # table covers (100, 300]
+def test_sieves_return_float64_arrays():
+    # entry i of segment_sieve(lo, hi) is Lambda(lo + 1 + i), of
+    # sieve_mangoldt(n) Lambda(i + 1)
+    for lam, lo, hi in ((segment_sieve(100, 300), 100, 300), (segment_sieve(0, 1), 0, 1),
+                        (sieve_mangoldt(1000), 0, 1000)):
+        assert isinstance(lam, np.ndarray) and lam.dtype == np.float64
+        assert lam.shape == (hi - lo,)
+        assert lam.tolist() == pytest.approx([mangoldt_point(d) for d in range(lo + 1, hi + 1)],
+                                             abs=1e-12)
 
 
 def _array_sum(values, chunk_size, workers=1):

@@ -136,6 +136,17 @@ def test_instance_validation():
             ExpSumInstance(**{**good, **bad})
 
 
+@pytest.mark.parametrize("field", ["X", "alpha", "beta", "gamma", "delta", "K", "epsilon"])
+def test_instance_refuses_non_finite(field):
+    # a NaN slips past every order comparison, and an infinite exponent or
+    # K gives a NaN phase or bound rather than an error
+    good = dict(H=1, M=1, N=1, X=2.0, alpha=1.0, beta=1.0, gamma=1.0,
+                coeff_a=constant_coeff_a(), coeff_b=constant_coeff_b())
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            ExpSumInstance(**{**good, field: value})
+
+
 def test_rs06_hand_value():
     inst = ExpSumInstance(H=1, M=1, N=1, X=4.0, alpha=1.0, beta=1.0, gamma=1.0,
                           coeff_a=constant_coeff_a(), coeff_b=constant_coeff_b(),

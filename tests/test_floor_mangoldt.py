@@ -45,7 +45,7 @@ def _blocked_pointwise(x):
         return part1
     d = np.arange(1, cut + 1, dtype=np.int64)
     counts = x // d - np.maximum(x // (d + 1), n0)
-    vals = sieve_mangoldt(cut).values * counts.astype(np.float64)
+    vals = sieve_mangoldt(cut) * counts.astype(np.float64)
     return part1 + float(chunked_tree_sum(cut, lambda a, b: vals[a:b].sum()))
 
 
@@ -58,9 +58,14 @@ def test_blocked_bitwise_pointwise_small(monkeypatch, split):
         assert fm.s_lambda_blocked(x).hex() == _blocked_pointwise(x).hex(), x
 
 
-@pytest.mark.parametrize("x", [10 ** 9 + 7, 10 ** 10, 10 ** 11])
-def test_blocked_bitwise_pointwise_large(x):
-    assert fm.s_lambda_blocked(x).hex() == _blocked_pointwise(x).hex()
+@pytest.mark.parametrize("x", [10 ** 9 + 7, 10 ** 10, 3 * 10 ** 10 + 7, 10 ** 11])
+def test_blocked_bitwise_pointwise_large(monkeypatch, x):
+    want = _blocked_pointwise(x).hex()
+    assert fm.s_lambda_blocked(x).hex() == want
+    # pieces of one chunk cut the multiplicity range, up to 316226 values,
+    # into several pieces of one segment
+    monkeypatch.setattr(fm, "_PIECE", 1 << 16)
+    assert fm.s_lambda_blocked(x).hex() == want
 
 
 def test_block_count_is_distinct_values():
@@ -166,7 +171,7 @@ def test_frak_s_hand_value():
 
 def test_frak_s_within_half_chebyshev():
     for D in (50, 500):
-        lam = sieve_mangoldt(2 * D).values
+        lam = sieve_mangoldt(2 * D)
         half = 0.5 * float(np.sum(lam[D:2 * D]))
         for delta in (0.0, 0.5, 2.0):
             assert abs(fm.frak_s(12345.678, D, delta)) <= half + 1e-9
@@ -200,7 +205,7 @@ def _sieved_whole_array(lo, hi, term):
     while seg_lo < hi:
         seg_hi = min(hi, seg_lo + arith_core.DEFAULT_SEGMENT_CAPACITY)
         d = np.arange(seg_lo + 1, seg_hi + 1, dtype=np.float64)
-        vals = term(arith_core.segment_sieve(seg_lo, seg_hi).values, d)
+        vals = term(arith_core.segment_sieve(seg_lo, seg_hi), d)
         parts.append(float(chunked_tree_sum(seg_hi - seg_lo, lambda a, b: vals[a:b].sum())))
         seg_lo = seg_hi
     return math.fsum(parts)
@@ -215,7 +220,7 @@ def _psi_window_whole_array(x, lo, hi, delta):
 
 
 def _direct_whole_array(x):
-    lam = sieve_mangoldt(x).values
+    lam = sieve_mangoldt(x)
 
     def chunk(lo, hi):
         vals = lam[x // np.arange(lo + 1, hi + 1, dtype=np.int64) - 1]
@@ -231,13 +236,16 @@ def test_main_constant_bitwise_whole_array():
 
 @pytest.mark.parametrize("piece", [1 << 16, 1 << 17, fm._PIECE])
 def test_main_constant_pieces_keep_bits(monkeypatch, piece):
-    # segments of 200000, each sieved and summed in pieces of one, two or
-    # 16 chunks, the last piece of each segment short; the whole-array form
-    # sieves each segment at once
+    # one segment, then segments of 200000, each sieved and summed in pieces
+    # of one, two or 16 chunks, the last piece of each segment short; the
+    # whole-array form sieves each segment at once.  The six one-chunk pieces
+    # of one segment fix the tree that combines their partials: a math.fsum
+    # or a left-to-right sum of them changes the last bit.
+    monkeypatch.setattr(fm, "_PIECE", piece)
+    assert fm.main_constant(330001).value.hex() == _main_constant_whole_array(330001).hex()
     monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT_CAPACITY", 200000)
     want = _main_constant_whole_array(330001)
     want_s = _psi_window_whole_array(5.5e5, 1, 550000, 0.5)
-    monkeypatch.setattr(fm, "_PIECE", piece)
     assert fm.main_constant(330001).value.hex() == want.hex()
     assert fm.r_delta(5.5e5, 1.0, 0.5).hex() == want_s.hex()
 
@@ -251,7 +259,7 @@ def test_direct_quotient_runs_match_gather():
     # chunks next to isqrt(x), where the runs of equal quotients begin, and
     # chunks long enough that some quotients between the ends have no n
     for x in (10 ** 4, 10 ** 6 + 3, 3 * 10 ** 6 + 17):
-        lam = sieve_mangoldt(x).values
+        lam = sieve_mangoldt(x)
         r = math.isqrt(x)
         for n_s in range(r - 3, r + 4):
             for width in (1, 2, 3, 7, r // 2, r, 4 * r, 65536):
@@ -323,6 +331,10 @@ def test_r_delta_brute_oracle():
 def test_r_delta_validation():
     with pytest.raises(ValueError):
         fm.r_delta(100.0, 0.5)
+    # refused like frak_s, although the window would be empty
+    for x in (-5.0, 0.0, 2.99, -math.inf):
+        with pytest.raises(ValueError, match="x must be a finite number >= 3"):
+            fm.r_delta(x, 1.0)
     with pytest.raises(ValueError):
         fm.r_delta(100.0, 2.0, delta=-0.1)
     for x, E, delta in ((math.inf, 2.0, 0.0), (math.nan, 2.0, 0.0),

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+or reads a private name of another package module."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,43 @@ def test_scan_sees_unused_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source: str) -> list:
+    """Underscore-prefixed names of other package modules that source reads:
+    imported from a relative module (from .arith_core import _x), or read
+    as an attribute of a module imported from the package (from . import
+    arith_core, then arith_core._x)."""
+    tree = ast.parse(source)
+    modules = set()
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    reads.append(f"{alias.name} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            reads.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return sorted(reads)
+
+
+def test_scan_sees_private_reads():
+    source = ("from . import arith_core\nfrom . import floor_mangoldt as fm\n"
+              "from .floor_mangoldt import _PIECE, QUOTIENT_GUARD\n"
+              "def _own(x):\n    return arith_core._tree_reduce(x) + fm._PIECE\n"
+              "y = arith_core.chunked_tree_sum, arith_core.__name__, _own(0)\n")
+    assert private_reads(source) == ["_PIECE (line 3)", "arith_core._tree_reduce (line 5)",
+                                     "fm._PIECE (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    assert private_reads(path.read_text()) == []

@@ -49,7 +49,7 @@ def test_table_contents_brute_force():
     lam_tab = sieve_mangoldt(t.rough_hi)
 
     def lam(n):
-        return float(lam_tab.values[n - 1])
+        return float(lam_tab[n - 1])
 
     for m in range(1, cut + 1):
         assert t.alpha(1, m) == pytest.approx(mu[m] * math.log(m), abs=1e-12)
