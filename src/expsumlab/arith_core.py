@@ -241,9 +241,12 @@ def mangoldt_many(vals) -> np.ndarray:
     if len(given) == 0:
         return out
     # a fraction, NaN or out-of-range value casts to an integer that differs
-    # from it, and is refused
-    with np.errstate(invalid="ignore"):
-        vals = given.astype(np.int64, copy=False)
+    # from it, or fails to cast, and is refused
+    try:
+        with np.errstate(invalid="ignore"):
+            vals = given.astype(np.int64, copy=False)
+    except OverflowError:
+        raise ValueError("need sorted distinct positive integers below 2^63") from None
     if np.any(vals != given) or vals[0] < 1 or np.any(np.diff(vals) <= 0):
         raise ValueError("need sorted distinct positive integers")
     capacity = DEFAULT_SEGMENT_CAPACITY

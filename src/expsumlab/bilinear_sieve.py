@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith_core import chunked_tree_sum
-from .errors import RejectedInstanceError, TabulationMismatchError
+from .diophantine_count import phi_pair_table, psi_single_table, sup_distance_blocks
+from .errors import COEFF_TOL, RejectedInstanceError, TabulationMismatchError, check_peak
 from .reports import ReportRow
 
-_COEFF_TOL = 1e-9
 _ROW_CHUNK = 16
 
 
@@ -49,10 +49,8 @@ class PointSet:
             raise ValueError("Y must be positive")
         if len(self.points) == 0:
             raise ValueError("point set must be nonempty")
-        if np.max(np.abs(self.points)) > self.Y * (1 + 1e-12):
-            raise ValueError("a point exceeds the declared bound Y")
-        if np.max(np.abs(self.coeffs)) > 1 + _COEFF_TOL:
-            raise ValueError("a point coefficient exceeds modulus 1")
+        check_peak(self.points, self.Y * (1 + 1e-12), "points")
+        check_peak(self.coeffs, 1 + COEFF_TOL, "point coefficients")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -79,10 +77,8 @@ class FunctionFamily:
             raise ValueError("X must be positive")
         if self.table.shape[0] == 0:
             raise ValueError("family must be nonempty")
-        if np.max(np.abs(self.table)) > self.X * (1 + 1e-12):
-            raise ValueError("a member value exceeds the declared bound X")
-        if np.max(np.abs(self.coeffs)) > 1 + _COEFF_TOL:
-            raise ValueError("a member coefficient exceeds modulus 1")
+        check_peak(self.table, self.X * (1 + 1e-12), "member values")
+        check_peak(self.coeffs, 1 + COEFF_TOL, "member coefficients")
 
     @property
     def oscillations(self) -> np.ndarray:
@@ -110,14 +106,22 @@ def bilinear_form(family: FunctionFamily, points: PointSet, workers: int = 1) ->
     return complex(chunked_tree_sum(len(family), chunk, _ROW_CHUNK, workers))
 
 
+def _weighted_close_pairs(hi: np.ndarray, lo: np.ndarray, w: np.ndarray,
+                          threshold: float) -> float:
+    """Sum of w_p w_q over ordered pairs within threshold in the sup
+    distance of diophantine_count's pair kernel."""
+    total = 0.0
+    for rows, d in sup_distance_blocks(hi, lo):
+        total += float(np.sum((d <= threshold) * (w[rows, np.newaxis] * w[np.newaxis, :])))
+    return total
+
+
 def correlation_points(points: PointSet, eta: float) -> float:
     """Weighted count of ordered point pairs within eta (diagonal included)."""
     if not eta > 0:
         raise ValueError("eta must be positive")
     y = points.points
-    w = np.abs(points.coeffs)
-    close = np.abs(y[:, np.newaxis] - y[np.newaxis, :]) <= eta
-    return float(np.sum(close * (w[:, np.newaxis] * w[np.newaxis, :])))
+    return _weighted_close_pairs(y, y, np.abs(points.coeffs), eta)
 
 
 def correlation_functions(family: FunctionFamily, threshold: float) -> float:
@@ -130,11 +134,8 @@ def correlation_functions(family: FunctionFamily, threshold: float) -> float:
     """
     if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
-    hi = family.table.max(axis=1)
-    lo = family.table.min(axis=1)
-    dist = np.maximum(hi[:, np.newaxis] - lo[np.newaxis, :], hi[np.newaxis, :] - lo[:, np.newaxis])
-    w = np.abs(family.coeffs)
-    return float(np.sum((dist <= threshold) * (w[:, np.newaxis] * w[np.newaxis, :])))
+    return _weighted_close_pairs(family.table.max(axis=1), family.table.min(axis=1),
+                                 np.abs(family.coeffs), threshold)
 
 
 def lemma21_check(points: PointSet, T: float, eta: float, seed: int | None = None) -> ReportRow:
@@ -187,7 +188,7 @@ def dls_proof_constant(K: float) -> float:
     the reported reference (1 + K X Y) corr_pts corr_fn, the quotient
     pi^2 (3u + K/2)/(1 + u) with u = KXY is at most pi^2 max(3, K/2).
     """
-    if K < 1:
+    if not K >= 1:
         raise ValueError("K must be >= 1")
     return math.pi ** 2 * max(3.0, K / 2.0)
 
@@ -204,8 +205,7 @@ def dls_check(
     The reported ratio is certified to stay below dls_proof_constant(K);
     callers assert that.  Members oscillating by K/(4Y) or more are rejected.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    constant = dls_proof_constant(K)
     cap = K / (4.0 * points.Y)
     osc = family.oscillations
     bad = np.flatnonzero(~(osc < cap))
@@ -224,7 +224,7 @@ def dls_check(
     params = {"members": len(family), "n": len(points), "K": K, "X": family.X, "Y": points.Y}
     row = ReportRow("dls", "", params, lhs, rhs, seed=seed)
     # the pass verdict is the proof-constant assertion, not lhs <= rhs
-    row.passed = row.ratio <= dls_proof_constant(K)
+    row.passed = row.ratio <= constant
     return row
 
 
@@ -258,8 +258,6 @@ def pair_difference_family(N: int, gamma: float, spec, points_m: np.ndarray) -> 
     """Members phi_{n1,n2}(m) = N^g/(n1^g + mu(m)) - N^g/(n2^g + mu(m)) for
     ordered (n1, n2) in (N,2N]^2, tabulated at the m-coordinate of each
     point; every member has coefficient 1."""
-    from .diophantine_count import phi_pair_table
-
     table = phi_pair_table(N, gamma, spec, points_m)
     return FunctionFamily(table=table, coeffs=np.ones(N * N), X=1.0)
 
@@ -267,8 +265,6 @@ def pair_difference_family(N: int, gamma: float, spec, points_m: np.ndarray) -> 
 def reciprocal_family(N: int, gamma: float, spec, points_m: np.ndarray) -> FunctionFamily:
     """Members psi_n(m) = N^g/(n^g + nu(m)) for n in (N,2N], tabulated at the
     m-coordinate of each point; every member has coefficient 1."""
-    from .diophantine_count import psi_single_table
-
     table = psi_single_table(N, gamma, spec, points_m)
     return FunctionFamily(table=table, coeffs=np.ones(N), X=1.0)
 

@@ -1,6 +1,9 @@
 """Counting near-coincidences among perturbed reciprocal and monomial values.
 
-Four counters over dyadic blocks (A, 2A]:
+Four counts over dyadic blocks (A, 2A], each a unit-weight correlation
+count of the dispersion inequality (bilinear_sieve): ordered member pairs
+whose sup distance is within 1/X.  One pair kernel, sup_distance_blocks,
+serves all four and both of bilinear_sieve's correlation sums.
 
   B0: quadruples (n1..n4) with |n1^b + n2^b - n3^b - n4^b| / N^b <= 1/X.
   B1: quadruples (h1,h2,m1,m2) with |h1^a m1^b - h2^a m2^b|/(H^a M^b) <= 1/X.
@@ -21,6 +24,7 @@ tallied separately as boundary cases and surfaced in DioResult.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -114,41 +118,23 @@ def psi_single_table(N: int, gamma: float, spec: PerturbationSpec, ms) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# pair counting over a shared value vector
+# the pair kernel
 
 
-def _count_close_pairs(values: np.ndarray, threshold: float) -> tuple[int, int]:
-    """Ordered pairs (i, j) with |v_i - v_j| <= threshold, plus the count of
-    pairs within BOUNDARY_BAND of the threshold.  Chunked over rows to keep
-    memory flat."""
-    n = len(values)
-    count = 0
-    boundary = 0
-    for lo in range(0, n, _ROW_CHUNK):
-        d = np.abs(values[lo: lo + _ROW_CHUNK, np.newaxis] - values[np.newaxis, :])
-        count += int(np.count_nonzero(d <= threshold))
-        boundary += int(np.count_nonzero(np.abs(d - threshold) <= BOUNDARY_BAND))
-    return count, boundary
-
-
-def _count_twosided(hi: np.ndarray, lo: np.ndarray, threshold: float) -> tuple[int, int]:
-    """Ordered pairs (p, q) with max(hi_p - lo_q, hi_q - lo_p) <= threshold."""
-    n = len(hi)
-    count = 0
-    boundary = 0
-    for start in range(0, n, _ROW_CHUNK):
-        sl = slice(start, start + _ROW_CHUNK)
-        d = np.maximum(
-            hi[sl, np.newaxis] - lo[np.newaxis, :],
-            hi[np.newaxis, :] - lo[sl, np.newaxis],
-        )
-        count += int(np.count_nonzero(d <= threshold))
-        boundary += int(np.count_nonzero(np.abs(d - threshold) <= BOUNDARY_BAND))
-    return count, boundary
-
-
-def _member_extrema(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return table.max(axis=1), table.min(axis=1)
+def sup_distance_blocks(hi: np.ndarray, lo: np.ndarray):
+    """Yield (rows, d) over _ROW_CHUNK-row blocks of the ordered-pair matrix
+    d[p, q] = max(hi_p - lo_q, hi_q - lo_p): the sup distance between two
+    members with extrema hi >= lo.  For hi = lo = v this is exactly
+    |v_p - v_q|, since float subtraction is antisymmetric, so when both are
+    the same array one subtraction and its modulus give it.  Chunking over
+    rows keeps memory flat."""
+    for start in range(0, len(hi), _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        d = hi[rows, np.newaxis] - lo[np.newaxis, :]
+        if hi is lo:
+            yield rows, np.abs(d, out=d)
+        else:
+            yield rows, np.maximum(d, hi[np.newaxis, :] - lo[rows, np.newaxis], out=d)
 
 
 def _scan_ms(spec: PerturbationSpec, mode: str) -> np.ndarray:
@@ -167,17 +153,17 @@ def _regime_warn(spec: PerturbationSpec, N: int, gamma: float, X: float) -> bool
     """The counting bounds for B2/B3 are stated for X <= U^-1 N^gamma; outside
     that window the count is still reported but nothing is asserted."""
     if spec.delta > 0 and X > float(N) ** gamma / spec.U:
+        # name the caller's line, whichever public counter it called
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals["__name__"] == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"X = {X:.6g} outside supported window X <= U^-1 N^gamma "
             f"= {float(N) ** gamma / spec.U:.6g}; count reported, bound not asserted",
-            stacklevel=3,
+            stacklevel=level,
         )
         return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# counters
 
 
 def _check_tuples(what: str, tuples: int) -> None:
@@ -186,65 +172,41 @@ def _check_tuples(what: str, tuples: int) -> None:
             f"{what} = {tuples} exceeds tuple budget {DEFAULT_TUPLE_BUDGET}")
 
 
-def _count_b0(N: int, beta: float, X: float) -> tuple[int, int]:
-    if N < 1 or not X > 0:
-        raise ValueError("need N >= 1 and X > 0")
-    _check_tuples("N^4", N ** 4)
-    n = np.arange(N + 1, 2 * N + 1, dtype=np.float64) ** beta / float(N) ** beta
-    sums = (n[:, np.newaxis] + n[np.newaxis, :]).ravel()
-    return _count_close_pairs(sums, 1.0 / X)
-
-
-def count_B0(N: int, beta: float, X: float) -> int:
-    return _count_b0(N, beta, X)[0]
-
-
-def _count_b1(H: int, M: int, alpha: float, beta: float, X: float) -> tuple[int, int]:
-    if H < 1 or M < 1 or not X > 0:
-        raise ValueError("need H, M >= 1 and X > 0")
-    _check_tuples("(HM)^2", (H * M) ** 2)
-    h = np.arange(H + 1, 2 * H + 1, dtype=np.float64) ** alpha
-    m = np.arange(M + 1, 2 * M + 1, dtype=np.float64) ** beta
-    vals = (h[:, np.newaxis] * m[np.newaxis, :]).ravel() / (float(H) ** alpha * float(M) ** beta)
-    return _count_close_pairs(vals, 1.0 / X)
-
-
-def count_B1(H: int, M: int, alpha: float, beta: float, X: float) -> int:
-    return _count_b1(H, M, alpha, beta, X)[0]
-
-
-def _count_b2(N: int, gamma: float, X: float, spec: PerturbationSpec,
-              mode: str) -> tuple[int, int, bool]:
+def _extrema(kind: str, mode: str, spec: PerturbationSpec | None,
+             params: dict) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Per-member extrema (hi, lo) whose sup distances a count compares with
+    1/X, and whether X is in the supported regime.  B0 and B1 members are
+    single values, so hi = lo.  Inputs and the tuple budget are checked
+    before any table is built."""
+    X = params["X"]
+    if kind == "B1":
+        H, M, alpha, beta = params["H"], params["M"], params["alpha"], params["beta"]
+        if H < 1 or M < 1 or not X > 0:
+            raise ValueError("need H, M >= 1 and X > 0")
+        _check_tuples("(HM)^2", (H * M) ** 2)
+        h = np.arange(H + 1, 2 * H + 1, dtype=np.float64) ** alpha
+        m = np.arange(M + 1, 2 * M + 1, dtype=np.float64) ** beta
+        vals = (h[:, np.newaxis] * m[np.newaxis, :]).ravel() / (float(H) ** alpha * float(M) ** beta)
+        return vals, vals, True
+    N = params["N"]
+    if kind == "B0":
+        if N < 1 or not X > 0:
+            raise ValueError("need N >= 1 and X > 0")
+        _check_tuples("N^4", N ** 4)
+        beta = params["beta"]
+        n = np.arange(N + 1, 2 * N + 1, dtype=np.float64) ** beta / float(N) ** beta
+        sums = (n[:, np.newaxis] + n[np.newaxis, :]).ravel()
+        return sums, sums, True
+    gamma = params["gamma"]
     if N < 1 or not X > 0 or not gamma > 0:
         raise ValueError("need N >= 1, gamma > 0 and X > 0")
-    _check_tuples("N^4", N ** 4)
+    if spec is None:
+        raise ValueError(f"{kind} needs a perturbation spec (see default_spec)")
+    _check_tuples("N^4" if kind == "B2" else "N^2", N ** 4 if kind == "B2" else N ** 2)
     in_regime = _regime_warn(spec, N, gamma, X)
-    table = phi_pair_table(N, gamma, spec, _scan_ms(spec, mode))
-    hi, lo = _member_extrema(table)
-    count, boundary = _count_twosided(hi, lo, 1.0 / X)
-    return count, boundary, in_regime
-
-
-def count_B2(N: int, gamma: float, X: float, spec: PerturbationSpec,
-             mode: str = "endpoint") -> int:
-    return _count_b2(N, gamma, X, spec, mode)[0]
-
-
-def _count_b3(N: int, gamma: float, X: float, spec: PerturbationSpec,
-              mode: str) -> tuple[int, int, bool]:
-    if N < 1 or not X > 0 or not gamma > 0:
-        raise ValueError("need N >= 1, gamma > 0 and X > 0")
-    _check_tuples("N^2", N ** 2)
-    in_regime = _regime_warn(spec, N, gamma, X)
-    table = psi_single_table(N, gamma, spec, _scan_ms(spec, mode))
-    hi, lo = _member_extrema(table)
-    count, boundary = _count_twosided(hi, lo, 1.0 / X)
-    return count, boundary, in_regime
-
-
-def count_B3(N: int, gamma: float, X: float, spec: PerturbationSpec,
-             mode: str = "endpoint") -> int:
-    return _count_b3(N, gamma, X, spec, mode)[0]
+    tabulate = phi_pair_table if kind == "B2" else psi_single_table
+    table = tabulate(N, gamma, spec, _scan_ms(spec, mode))
+    return table.max(axis=1), table.min(axis=1), in_regime
 
 
 # ---------------------------------------------------------------------------
@@ -296,27 +258,16 @@ def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
     for name, value in checked.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
-    in_regime = True
-    if kind == "B0":
-        count, boundary = _count_b0(params["N"], params["beta"], params["X"])
-        bound = dio_bound("B0", eps=eps, N=params["N"], X=params["X"])
-    elif kind == "B1":
-        count, boundary = _count_b1(
-            params["H"], params["M"], params["alpha"], params["beta"], params["X"]
-        )
-        bound = dio_bound("B1", eps=eps, H=params["H"], M=params["M"], X=params["X"])
-    elif kind == "B2":
-        count, boundary, in_regime = _count_b2(
-            params["N"], params["gamma"], params["X"], spec, mode
-        )
-        bound = dio_bound("B2", eps=eps, N=params["N"], X=params["X"])
-    elif kind == "B3":
-        count, boundary, in_regime = _count_b3(
-            params["N"], params["gamma"], params["X"], spec, mode
-        )
-        bound = dio_bound("B3", eps=eps, N=params["N"], X=params["X"])
-    else:
+    if kind not in ("B0", "B1", "B2", "B3"):
         raise ValueError(f"unknown kind {kind!r}")
+    hi, lo, in_regime = _extrema(kind, mode, spec, params)
+    threshold = 1.0 / params["X"]
+    count = boundary = 0
+    for _, d in sup_distance_blocks(hi, lo):
+        count += int(np.count_nonzero(d <= threshold))
+        boundary += int(np.count_nonzero(np.abs(d - threshold) <= BOUNDARY_BAND))
+    bound = dio_bound(kind, eps=eps, H=params.get("H"), M=params.get("M"),
+                      N=params.get("N"), X=params["X"])
     echo = dict(params)
     if spec is not None:
         echo.update(beta_spec=spec.beta, delta=spec.delta, M_spec=spec.M, kind_spec=spec.kind)
@@ -329,3 +280,21 @@ def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
         in_regime=in_regime,
         params=echo,
     )
+
+
+def count_B0(N: int, beta: float, X: float) -> int:
+    return dio_report("B0", N=N, beta=beta, X=X).count
+
+
+def count_B1(H: int, M: int, alpha: float, beta: float, X: float) -> int:
+    return dio_report("B1", H=H, M=M, alpha=alpha, beta=beta, X=X).count
+
+
+def count_B2(N: int, gamma: float, X: float, spec: PerturbationSpec,
+             mode: str = "endpoint") -> int:
+    return dio_report("B2", mode=mode, spec=spec, N=N, gamma=gamma, X=X).count
+
+
+def count_B3(N: int, gamma: float, X: float, spec: PerturbationSpec,
+             mode: str = "endpoint") -> int:
+    return dio_report("B3", mode=mode, spec=spec, N=N, gamma=gamma, X=X).count

@@ -4,6 +4,19 @@ Every guard that refuses work names the violated budget or inequality in its
 message, so a failing run can be diagnosed from the report alone.
 """
 
+import numpy as np
+
+COEFF_TOL = 1e-9  # slack on the unit-modulus bound of a coefficient
+
+
+def check_peak(values, bound: float, what: str) -> None:
+    """Refuse values whose largest modulus is not within bound.  The test is
+    `not peak <= bound`, so a NaN is refused too: it compares false with
+    everything."""
+    peak = float(np.max(np.abs(values))) if np.size(values) else 0.0
+    if not peak <= bound:
+        raise ValueError(f"{what}: peak modulus {peak:.6g} is not within {bound:.6g}")
+
 
 class CapacityError(ValueError):
     """A requested range or term count exceeds a configured budget."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith_core import chunked_tree_sum
-from .errors import CapacityError, RejectedInstanceError
+from .errors import COEFF_TOL, CapacityError, RejectedInstanceError, check_peak
 from .exponent_calc import ExponentPair
 from .floor_mangoldt import QUOTIENT_GUARD
 from .seeding import DetRand, pair_uniform
@@ -31,7 +31,6 @@ from .vaughan_decomp import alpha_tables
 
 DEFAULT_TERM_BUDGET = 10 ** 8
 _INNER_TERMS = 1 << 18
-_COEFF_TOL = 1e-9
 
 
 class Bound(str, Enum):
@@ -119,9 +118,7 @@ def lattice_count(inst: ExpSumInstance) -> int:
 
 def _checked_coeffs(values, what: str) -> np.ndarray:
     out = np.asarray(values, dtype=np.complex128)
-    peak = float(np.max(np.abs(out))) if out.size else 0.0
-    if peak > 1.0 + _COEFF_TOL:
-        raise ValueError(f"{what} has modulus {peak:.6g} > 1")
+    check_peak(out, 1.0 + COEFF_TOL, what)
     return out
 
 
@@ -269,8 +266,7 @@ def constant_coeff_b(value: complex = 1.0):
 
 
 def build_floor_scenario(x: float, D: int, delta: float, Hp: int, Hmax: int,
-                         M: int, N: int, mode: str = "rectangle",
-                         K: float | None = None) -> ExpSumInstance:
+                         M: int, N: int, mode: str = "rectangle") -> ExpSumInstance:
     """Instance matching one dyadic piece of the bilinear block sum.
 
     With alpha = beta = gamma = 1 and X = x*Hp/(M*N) the phase is exactly
@@ -281,9 +277,8 @@ def build_floor_scenario(x: float, D: int, delta: float, Hp: int, Hmax: int,
     Phi argument inside (0, 1).
 
     mode 'rectangle' sums the full block product; 'hyperbola' clips to
-    D < m*n <= 2D.  K defaults to the smallest admissible value for the
-    given delta (nudged up by 1e-12 so the regime inequality is safely
-    inside)."""
+    D < m*n <= 2D.  K is the smallest admissible value for the given delta
+    (nudged up by 1e-12 so the regime inequality is safely inside)."""
     if not 1 <= Hp <= Hmax:
         raise ValueError(f"need 1 <= Hp <= Hmax, got Hp={Hp}, Hmax={Hmax}")
     if not D / 4 <= M * N <= 4 * D:
@@ -318,8 +313,7 @@ def build_floor_scenario(x: float, D: int, delta: float, Hp: int, Hmax: int,
     def coeff_b(n):
         return a4_c
 
-    if K is None:
-        K = 1.0 if delta == 0 else max(1.0, 8.0 * delta * X / (M * N)) * (1.0 + 1e-12)
+    K = 1.0 if delta == 0 else max(1.0, 8.0 * delta * X / (M * N)) * (1.0 + 1e-12)
     return ExpSumInstance(
         H=Hp, M=M, N=N, X=X, alpha=1.0, beta=1.0, gamma=1.0,
         coeff_a=coeff_a, coeff_b=coeff_b, delta=delta, K=K,

@@ -295,8 +295,7 @@ class SlopeFit:
     excluded: int
 
 
-def fit_error_slope(curve: ErrorCurve, floor: float = 1.0,
-                    min_points: int = 3) -> SlopeFit:
+def fit_error_slope(curve: ErrorCurve, floor: float = 1.0) -> SlopeFit:
     """Least-squares slope of log|E| against log x.
 
     Points where |E| does not exceed both the uncertainty band and the
@@ -308,9 +307,9 @@ def fit_error_slope(curve: ErrorCurve, floor: float = 1.0,
         if a > max(floor, float(b)):
             lx.append(math.log(x))
             ly.append(math.log(a))
-    if len(lx) < min_points:
+    if len(lx) < 3:
         raise DegenerateFitError(
-            f"only {len(lx)} usable points after exclusion, need {min_points}"
+            f"only {len(lx)} usable points after exclusion, need 3"
         )
     lx_arr = np.array(lx)
     ly_arr = np.array(ly)

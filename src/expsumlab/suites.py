@@ -209,12 +209,12 @@ def dio_suite(seed: int = 0, slack: float = 4.0) -> SuiteResult:
 # arithmetic decomposition
 
 
-def _vaughan_cases(seed: int, D: int, random_count: int = 20):
+def _vaughan_cases(seed: int, D: int):
     lo_val = -1.0
     yield "ones", lambda d: np.ones(len(d))
     x = 10.0 * D + 0.5
     yield "sawtooth", lambda d: psi_frac_many(x / (d.astype(np.float64) + 1.0))
-    for i in range(random_count):
+    for i in range(20):
         key = DetRand(seed, stream=i).next_u64()
         yield f"random_{i:02d}", (
             lambda d, key=key: 2.0 * pair_uniform(key, d, 0) + lo_val

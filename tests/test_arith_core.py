@@ -237,7 +237,7 @@ def test_mangoldt_many_carries_math_log():
 def test_mangoldt_many_input_checks():
     assert len(mangoldt_many([])) == 0
     for bad in ([3, 2], [2, 2], [0, 5], [2.5, 3.7, 9.9], [2.0, 3.5], [2.0, math.nan],
-                [2.0, math.inf], [2.0, 1e30]):
+                [2.0, math.inf], [2.0, 1e30], [2 ** 64 - 1], [5, 2 ** 70]):
         with pytest.raises(ValueError, match="sorted distinct positive"):
             mangoldt_many(bad)
     # a float that holds an integer is that integer

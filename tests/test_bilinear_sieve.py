@@ -76,6 +76,17 @@ def test_coefficient_bound_enforced():
         bs.FunctionFamily(table=np.array([[2.0]]), coeffs=np.array([1.0]), X=1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: bs.PointSet(points=[0.1, 0.2], coeffs=[math.nan, 1.0], Y=1.0),
+    lambda: bs.PointSet(points=[math.nan, 0.2], coeffs=[1.0, 1.0], Y=1.0),
+    lambda: bs.FunctionFamily(table=[[math.nan, 0.1]], coeffs=[1.0], X=1.0),
+    lambda: bs.FunctionFamily(table=[[0.0, 0.1]], coeffs=[complex(math.nan, 0.0)], X=1.0),
+], ids=["point_coeff", "point", "member_value", "member_coeff"])
+def test_nan_refused_by_bound_checks(build):
+    with pytest.raises(ValueError, match="peak modulus nan"):
+        build()
+
+
 def test_correlation_points_oracle():
     fam, pts = _random_instance(21)
     eta = 0.3
@@ -91,19 +102,36 @@ def test_correlation_points_oracle():
     assert bs.correlation_points(pts, 1e-15) >= float(np.sum(w * w)) - 1e-12
 
 
+def test_correlation_points_oracle_across_row_chunks():
+    # more points than one 512-row block of the pair kernel
+    rng = DetRand(23)
+    n = 700
+    pts = bs.PointSet(points=rng.uniform_array(n, -2.0, 2.0),
+                      coeffs=np.array([rng.complex_in_disc() for _ in range(n)]), Y=2.0)
+    eta = 0.01
+    y = pts.points.tolist()
+    w = np.abs(pts.coeffs).tolist()
+    want = 0.0
+    for i in range(n):
+        for j in range(n):
+            if abs(y[i] - y[j]) <= eta:
+                want += w[i] * w[j]
+    assert bs.correlation_points(pts, eta) == pytest.approx(want, rel=1e-12)
+
+
 def test_correlation_functions_oracle():
     fam, pts = _random_instance(22, members=6)
-    thr = 0.8
-    got = bs.correlation_functions(fam, thr)
     hi = fam.table.max(axis=1)
     lo = fam.table.min(axis=1)
     w = np.abs(fam.coeffs)
-    want = 0.0
-    for p in range(len(fam)):
-        for q in range(len(fam)):
-            if max(hi[p] - lo[q], hi[q] - lo[p]) <= thr:
-                want += w[p] * w[q]
-    assert got == pytest.approx(want, rel=1e-12)
+    for thr in (0.8, 2.8, 2.95):
+        got = bs.correlation_functions(fam, thr)
+        want = 0.0
+        for p in range(len(fam)):
+            for q in range(len(fam)):
+                if max(hi[p] - lo[q], hi[q] - lo[p]) <= thr:
+                    want += w[p] * w[q]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_correlation_functions_diagonal_needs_small_oscillation():
@@ -155,6 +183,16 @@ def test_dls_proof_constant_shape():
     assert bs.dls_proof_constant(8.0) == pytest.approx(4.0 * math.pi ** 2)
     with pytest.raises(ValueError):
         bs.dls_proof_constant(0.5)
+    # K < 1 is false for NaN; the check must still refuse it
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        bs.dls_proof_constant(math.nan)
+
+
+def test_dls_check_refuses_nan_K():
+    pts = bs.PointSet(points=np.array([0.5]), coeffs=np.array([1.0]), Y=1.0)
+    fam = bs.FunctionFamily(table=np.array([[0.3]]), coeffs=np.array([1.0]), X=1.0)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        bs.dls_check(fam, pts, K=math.nan)
 
 
 def test_dls_singleton_ratio_small():

@@ -2,19 +2,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from expsumlab import bilinear_sieve as bs
+from expsumlab import diophantine_count as dc
 from expsumlab.diophantine_count import (
     PerturbationSpec,
     count_B0,
     count_B1,
     count_B2,
     count_B3,
+    default_spec,
     dio_bound,
     dio_report,
     phi_pair,
     phi_pair_table,
     psi_single,
     psi_single_table,
+    sup_distance_blocks,
 )
 from expsumlab.errors import CapacityError
 
@@ -150,6 +156,15 @@ def test_regime_warning():
     assert rep.in_regime
 
 
+def test_regime_warning_names_the_callers_line():
+    spec = _spec(delta=0.5, M=2)
+    for call in (lambda: dio_report("B3", spec=spec, N=2, gamma=1.0, X=1000.0),
+                 lambda: count_B3(2, 1.0, 1000.0, spec)):
+        with pytest.warns(UserWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
+
+
 def test_capacity_guards():
     # each just over the 10^9 tuple budget; refused before any table is built
     with pytest.raises(CapacityError, match=r"N\^4 = 1003875856"):
@@ -169,3 +184,81 @@ def test_input_validation():
         count_B0(2, 1.0, 0.0)
     with pytest.raises(ValueError):
         count_B2(2, 0.0, 10.0, _spec())
+
+
+@pytest.mark.parametrize("kind,N", [("B2", 3), ("B3", 5)])
+def test_b2_b3_brute_force_sup(kind, N):
+    # the sup over independent m1, m2 of the member difference, from the
+    # scalar definitions, in both modes
+    spec = default_spec(kind, N)
+    block = range(N + 1, 2 * N + 1)
+    if kind == "B2":
+        members = [[phi_pair(s, t, m, spec, N, 1.0) for m in block] for s in block for t in block]
+    else:
+        members = [[psi_single(n, m, spec, N, 1.0) for m in block] for n in block]
+    counts = []
+    for X in (2.0, 8.0, 64.0, 512.0, 4096.0):
+        brute = sum(max(abs(a - b) for a in f for b in g) <= 1.0 / X
+                    for f in members for g in members)
+        for mode in ("endpoint", "scan"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rep = dio_report(kind, mode=mode, spec=spec, N=N, gamma=1.0, X=X)
+            assert abs(rep.count - brute) <= rep.boundary, (X, mode)
+        counts.append(brute)
+    assert len(set(counts)) == len(counts)  # every threshold separates pairs
+
+
+def test_b2_b3_need_a_spec():
+    for kind in ("B2", "B3"):
+        with pytest.raises(ValueError, match="needs a perturbation spec"):
+            dio_report(kind, N=4, gamma=1.0, X=4.0)
+
+
+@pytest.mark.parametrize("N", [3, 5, 8])
+def test_b2_b3_are_unit_weight_function_correlations(N):
+    # B2/B3 in scan mode are corr_fn(1/X) of the dispersion inequality over
+    # the pair-difference and reciprocal families with unit coefficients
+    ms = np.arange(N + 1, 2 * N + 1)
+    for kind, counter, family in (("B2", count_B2, bs.pair_difference_family),
+                                  ("B3", count_B3, bs.reciprocal_family)):
+        spec = default_spec(kind, N)
+        fam = family(N, 1.0, spec, ms)
+        for X in (2.0, 8.0, 64.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # X = 64 leaves the regime
+                count = counter(N, 1.0, X, spec, mode="scan")
+            assert bs.correlation_functions(fam, 1.0 / X) == count, (kind, X)
+
+
+@given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+       chunk=st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_kernel_with_equal_extrema_is_absolute_difference(values, chunk):
+    # the same vector takes the |d| path, an equal copy the max(d, -d) path
+    v = np.array(values)
+    want = np.abs(v[:, None] - v[None, :])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, "_ROW_CHUNK", chunk)
+        for lo in (v, v.copy()):
+            blocks = [d.copy() for _, d in sup_distance_blocks(v, lo)]
+            assert np.array_equal(np.concatenate(blocks), want)
+
+
+def _sorted_pair_count(values, threshold):
+    v = np.sort(values)
+    return int(np.sum(np.searchsorted(v, v + threshold, side="right")
+                      - np.searchsorted(v, v - threshold, side="left")))
+
+
+@given(size=st.integers(1, 12), alpha=st.floats(0.5, 2.5), beta=st.floats(0.5, 2.5),
+       log_x=st.floats(0.0, 12.0))
+@settings(max_examples=60, deadline=None)
+def test_b0_b1_match_sort_and_bisect(size, alpha, beta, log_x):
+    X = float(np.exp(log_x))
+    n = np.arange(size + 1, 2 * size + 1, dtype=np.float64)
+    b0 = ((n ** beta / size ** beta)[:, None] + (n ** beta / size ** beta)[None, :]).ravel()
+    b1 = (n[:, None] ** alpha * n[None, :] ** beta).ravel() / (size ** alpha * size ** beta)
+    for rep, values in ((dio_report("B0", N=size, beta=beta, X=X), b0),
+                        (dio_report("B1", H=size, M=size, alpha=alpha, beta=beta, X=X), b1)):
+        assert abs(rep.count - _sorted_pair_count(values, 1.0 / X)) <= rep.boundary

@@ -124,6 +124,11 @@ def test_coefficient_modulus_rejected():
                           coeff_a=constant_coeff_a(2.0), coeff_b=constant_coeff_b())
     with pytest.raises(ValueError, match="modulus"):
         eval_exp_sum(inst)
+    # NaN compares false with every bound and must not slip through
+    inst = ExpSumInstance(H=1, M=2, N=2, X=5.0, alpha=1.0, beta=1.0, gamma=1.0,
+                          coeff_a=constant_coeff_a(math.nan), coeff_b=constant_coeff_b())
+    with pytest.raises(ValueError, match="coeff_a at h=2: peak modulus nan"):
+        eval_exp_sum(inst)
 
 
 def test_instance_validation():

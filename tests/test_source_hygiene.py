@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-or reads a private name of another package module."""
+reads a private name of another package module, or imports a package
+module inside a function."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,38 @@ def test_scan_sees_private_reads():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_reads_across_modules(path):
     assert private_reads(path.read_text()) == []
+
+
+def local_package_imports(source: str) -> list:
+    """Imports of a package module (relative, or absolute from expsumlab)
+    made inside a function body, where they hide a dependency from the
+    module header."""
+    tree = ast.parse(source)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else ["."]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(n == "." or n.split(".")[0] == "expsumlab" for n in names):
+                found.add(f"{fn.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_scan_sees_local_package_imports():
+    source = ("import math\nfrom .errors import CapacityError\n"
+              "def f():\n    from .arith_core import sieve_primes\n    import json\n"
+              "    def g():\n        import expsumlab.reports\n    return g\n"
+              "def h():\n    from expsumlab import suites\n    from fractions import Fraction\n")
+    assert local_package_imports(source) == ["f (line 4)", "f (line 7)", "g (line 7)",
+                                             "h (line 10)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_local_package_imports(path):
+    assert local_package_imports(path.read_text()) == []
