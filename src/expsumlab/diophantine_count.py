@@ -125,16 +125,13 @@ def sup_distance_blocks(hi: np.ndarray, lo: np.ndarray):
     """Yield (rows, d) over _ROW_CHUNK-row blocks of the ordered-pair matrix
     d[p, q] = max(hi_p - lo_q, hi_q - lo_p): the sup distance between two
     members with extrema hi >= lo.  For hi = lo = v this is exactly
-    |v_p - v_q|, since float subtraction is antisymmetric, so when both are
-    the same array one subtraction and its modulus give it.  Chunking over
-    rows keeps memory flat."""
+    |v_p - v_q|, since float subtraction is antisymmetric.  Chunking over
+    rows keeps memory flat; each block is a fresh array the caller may
+    overwrite."""
     for start in range(0, len(hi), _ROW_CHUNK):
         rows = slice(start, start + _ROW_CHUNK)
         d = hi[rows, np.newaxis] - lo[np.newaxis, :]
-        if hi is lo:
-            yield rows, np.abs(d, out=d)
-        else:
-            yield rows, np.maximum(d, hi[np.newaxis, :] - lo[rows, np.newaxis], out=d)
+        yield rows, np.maximum(d, hi[np.newaxis, :] - lo[rows, np.newaxis], out=d)
 
 
 def _scan_ms(spec: PerturbationSpec, mode: str) -> np.ndarray:
@@ -155,7 +152,7 @@ def _regime_warn(spec: PerturbationSpec, N: int, gamma: float, X: float) -> bool
     if spec.delta > 0 and X > float(N) ** gamma / spec.U:
         # name the caller's line, whichever public counter it called
         frame, level = sys._getframe(1), 2
-        while frame.f_globals["__name__"] == __name__:
+        while frame.f_globals.get("__name__") == __name__:
             frame, level = frame.f_back, level + 1
         warnings.warn(
             f"X = {X:.6g} outside supported window X <= U^-1 N^gamma "
@@ -170,6 +167,11 @@ def _check_tuples(what: str, tuples: int) -> None:
     if tuples > DEFAULT_TUPLE_BUDGET:
         raise CapacityError(
             f"{what} = {tuples} exceeds tuple budget {DEFAULT_TUPLE_BUDGET}")
+
+
+# B2 members are the N^2 pair differences phi, B3 members the N values psi:
+# each kind's table, and the label and exponent of its tuple budget
+_MEMBER_TABLES = {"B2": (phi_pair_table, "N^4", 4), "B3": (psi_single_table, "N^2", 2)}
 
 
 def _extrema(kind: str, mode: str, spec: PerturbationSpec | None,
@@ -202,9 +204,9 @@ def _extrema(kind: str, mode: str, spec: PerturbationSpec | None,
         raise ValueError("need N >= 1, gamma > 0 and X > 0")
     if spec is None:
         raise ValueError(f"{kind} needs a perturbation spec (see default_spec)")
-    _check_tuples("N^4" if kind == "B2" else "N^2", N ** 4 if kind == "B2" else N ** 2)
+    tabulate, budget, power = _MEMBER_TABLES[kind]
+    _check_tuples(budget, N ** power)
     in_regime = _regime_warn(spec, N, gamma, X)
-    tabulate = phi_pair_table if kind == "B2" else psi_single_table
     table = tabulate(N, gamma, spec, _scan_ms(spec, mode))
     return table.max(axis=1), table.min(axis=1), in_regime
 
@@ -265,7 +267,8 @@ def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
     count = boundary = 0
     for _, d in sup_distance_blocks(hi, lo):
         count += int(np.count_nonzero(d <= threshold))
-        boundary += int(np.count_nonzero(np.abs(d - threshold) <= BOUNDARY_BAND))
+        d -= threshold  # |d - threshold| in place, on a block that is ours
+        boundary += int(np.count_nonzero(np.abs(d, out=d) <= BOUNDARY_BAND))
     bound = dio_bound(kind, eps=eps, H=params.get("H"), M=params.get("M"),
                       N=params.get("N"), X=params["X"])
     echo = dict(params)

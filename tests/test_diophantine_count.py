@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -163,6 +164,10 @@ def test_regime_warning_names_the_callers_line():
         with pytest.warns(UserWarning) as record:
             call()
         assert [w.filename for w in record] == [__file__]
+    # a caller whose globals carry no __name__ still gets the warning
+    with pytest.warns(UserWarning, match="outside supported window"):
+        exec("dio_report('B3', spec=spec, N=2, gamma=1.0, X=1000.0)",
+             {"dio_report": dio_report, "spec": spec})
 
 
 def test_capacity_guards():
@@ -184,6 +189,11 @@ def test_input_validation():
         count_B0(2, 1.0, 0.0)
     with pytest.raises(ValueError):
         count_B2(2, 0.0, 10.0, _spec())
+    # a non-finite X or spec delta is refused, not counted
+    with pytest.raises(ValueError, match="X must be a finite number"):
+        count_B0(2, 1.0, math.inf)
+    with pytest.raises(ValueError, match="delta must be a finite number"):
+        count_B2(2, 1.0, 10.0, _spec(delta=math.nan))
 
 
 @pytest.mark.parametrize("kind,N", [("B2", 3), ("B3", 5)])
@@ -235,14 +245,12 @@ def test_b2_b3_are_unit_weight_function_correlations(N):
        chunk=st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_kernel_with_equal_extrema_is_absolute_difference(values, chunk):
-    # the same vector takes the |d| path, an equal copy the max(d, -d) path
     v = np.array(values)
     want = np.abs(v[:, None] - v[None, :])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dc, "_ROW_CHUNK", chunk)
-        for lo in (v, v.copy()):
-            blocks = [d.copy() for _, d in sup_distance_blocks(v, lo)]
-            assert np.array_equal(np.concatenate(blocks), want)
+        blocks = [d for _, d in sup_distance_blocks(v, v)]
+    assert np.array_equal(np.concatenate(blocks), want)
 
 
 def _sorted_pair_count(values, threshold):
