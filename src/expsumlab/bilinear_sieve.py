@@ -150,6 +150,8 @@ def lemma21_check(points: PointSet, T: float, eta: float, seed: int | None = Non
     """
     if not T > 0:
         raise ValueError("T must be positive")
+    if not eta > 0:
+        raise ValueError("eta must be positive")
     y = points.points
     b = points.coeffs
     d = y[:, np.newaxis] - y[np.newaxis, :]

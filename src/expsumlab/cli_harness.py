@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 from . import __version__
 from . import diophantine_count as dc
@@ -178,14 +177,7 @@ def _run_expsum(args, cfg):
 
 def _dio_single(args, cfg):
     kind = args.kind
-    params = {}
-    if kind == "B0":
-        params = {"N": args.N, "beta": args.beta, "X": args.X}
-    elif kind == "B1":
-        params = {"H": args.H, "M": args.M, "alpha": args.alpha,
-                  "beta": args.beta, "X": args.X}
-    else:
-        params = {"N": args.N, "gamma": args.gamma, "X": args.X}
+    params = {k: getattr(args, k) for k in dc.KIND_PARAMS[kind]}
     spec = dc.default_spec(kind, args.N, beta=args.beta, delta=args.delta)
     rep = dc.dio_report(kind, eps=cfg.eps, mode=args.mode, spec=spec, **params)
     row = ReportRow("dio", kind, rep.params, rep.count, rep.bound, seed=cfg.seed)
@@ -240,7 +232,7 @@ def _run_fit(args, cfg):
 
 def _parse_range(text: str):
     lo, _, hi = text.partition(":")
-    return Fraction(lo), Fraction(hi)
+    return xc.parse_fraction(lo), xc.parse_fraction(hi)
 
 
 def _parse_assigns(pairs):
@@ -336,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(run=_run_expsum)
 
     s = sub.add_parser("dio", help="correlation count battery or single count")
-    s.add_argument("--kind", choices=("B0", "B1", "B2", "B3"))
+    s.add_argument("--kind", choices=tuple(dc.KIND_PARAMS))
     s.add_argument("--N", type=int, default=4)
     s.add_argument("--H", type=int, default=2)
     s.add_argument("--M", type=int, default=2)
@@ -345,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma", type=float, default=1.0)
     s.add_argument("--X", type=float, default=100.0)
     s.add_argument("--delta", type=float, default=None)
-    s.add_argument("--mode", choices=("endpoint", "scan"), default="endpoint")
+    s.add_argument("--mode", choices=dc.MODES, default="endpoint")
     s.set_defaults(run=_run_dio)
 
     s = sub.add_parser("vaughan", help="decomposition identity battery")

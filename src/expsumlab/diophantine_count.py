@@ -24,7 +24,6 @@ tallied separately as boundary cases and surfaced in DioResult.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +34,11 @@ from .errors import CapacityError
 DEFAULT_TUPLE_BUDGET = 10 ** 9
 BOUNDARY_BAND = 1e-12
 _ROW_CHUNK = 512
+
+# the parameters each kind of count takes: dio_report refuses any other set
+KIND_PARAMS = {"B0": ("N", "beta", "X"), "B1": ("H", "M", "alpha", "beta", "X"),
+               "B2": ("N", "gamma", "X"), "B3": ("N", "gamma", "X")}
+MODES = ("endpoint", "scan")
 
 
 @dataclass(frozen=True)
@@ -141,23 +145,19 @@ def _scan_ms(spec: PerturbationSpec, mode: str) -> np.ndarray:
         if spec.M + 1 == 2 * spec.M:
             return np.array([spec.M + 1], dtype=np.int64)
         return np.array([spec.M + 1, 2 * spec.M], dtype=np.int64)
-    if mode == "scan":
-        return np.arange(spec.M + 1, 2 * spec.M + 1, dtype=np.int64)
-    raise ValueError(f"unknown mode {mode!r}; use 'endpoint' or 'scan'")
+    # scan: every integer m of the block
+    return np.arange(spec.M + 1, 2 * spec.M + 1, dtype=np.int64)
 
 
 def _regime_warn(spec: PerturbationSpec, N: int, gamma: float, X: float) -> bool:
     """The counting bounds for B2/B3 are stated for X <= U^-1 N^gamma; outside
     that window the count is still reported but nothing is asserted."""
     if spec.delta > 0 and X > float(N) ** gamma / spec.U:
-        # name the caller's line, whichever public counter it called
-        frame, level = sys._getframe(1), 2
-        while frame.f_globals.get("__name__") == __name__:
-            frame, level = frame.f_back, level + 1
+        # stacklevel 4 names dio_report's caller: _regime_warn < _extrema < dio_report
         warnings.warn(
             f"X = {X:.6g} outside supported window X <= U^-1 N^gamma "
             f"= {float(N) ** gamma / spec.U:.6g}; count reported, bound not asserted",
-            stacklevel=level,
+            stacklevel=4,
         )
         return False
     return True
@@ -202,8 +202,6 @@ def _extrema(kind: str, mode: str, spec: PerturbationSpec | None,
     gamma = params["gamma"]
     if N < 1 or not X > 0 or not gamma > 0:
         raise ValueError("need N >= 1, gamma > 0 and X > 0")
-    if spec is None:
-        raise ValueError(f"{kind} needs a perturbation spec (see default_spec)")
     tabulate, budget, power = _MEMBER_TABLES[kind]
     _check_tuples(budget, N ** power)
     in_regime = _regime_warn(spec, N, gamma, X)
@@ -250,18 +248,34 @@ class DioResult:
 
 def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
                spec: PerturbationSpec | None = None, **params) -> DioResult:
-    """Count + bound + boundary tally in one record.
+    """Count + bound + boundary tally in one record: the one way to count.
 
-    A non-finite exponent, X or perturbation delta is refused: every
-    comparison with NaN is false, so the count would read 0 and pass."""
+    params are exactly KIND_PARAMS[kind]; B2 and B3 also need a spec, B0
+    and B1 take none.  A non-finite exponent, X, eps or perturbation delta
+    is refused: every comparison with NaN is false, so the count would read
+    0 and pass."""
+    if kind not in KIND_PARAMS:
+        raise ValueError(f"unknown kind {kind!r}; use one of {', '.join(KIND_PARAMS)}")
+    missing = [k for k in KIND_PARAMS[kind] if k not in params]
+    if missing:
+        raise ValueError(f"{kind} needs {', '.join(missing)}")
+    unexpected = [k for k in params if k not in KIND_PARAMS[kind]]
+    if unexpected:
+        raise ValueError(f"{kind} takes no {', '.join(unexpected)}; "
+                         f"it takes {', '.join(KIND_PARAMS[kind])}")
+    if kind in _MEMBER_TABLES and spec is None:
+        raise ValueError(f"{kind} needs a perturbation spec (see default_spec)")
+    if kind not in _MEMBER_TABLES and spec is not None:
+        raise ValueError(f"{kind} takes no perturbation spec")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; use 'endpoint' or 'scan'")
     checked = {k: params[k] for k in ("alpha", "beta", "gamma", "X") if k in params}
+    checked["eps"] = eps
     if spec is not None:
         checked["delta"] = spec.delta
     for name, value in checked.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if kind not in ("B0", "B1", "B2", "B3"):
-        raise ValueError(f"unknown kind {kind!r}")
     hi, lo, in_regime = _extrema(kind, mode, spec, params)
     threshold = 1.0 / params["X"]
     count = boundary = 0
@@ -284,20 +298,3 @@ def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
         params=echo,
     )
 
-
-def count_B0(N: int, beta: float, X: float) -> int:
-    return dio_report("B0", N=N, beta=beta, X=X).count
-
-
-def count_B1(H: int, M: int, alpha: float, beta: float, X: float) -> int:
-    return dio_report("B1", H=H, M=M, alpha=alpha, beta=beta, X=X).count
-
-
-def count_B2(N: int, gamma: float, X: float, spec: PerturbationSpec,
-             mode: str = "endpoint") -> int:
-    return dio_report("B2", mode=mode, spec=spec, N=N, gamma=gamma, X=X).count
-
-
-def count_B3(N: int, gamma: float, X: float, spec: PerturbationSpec,
-             mode: str = "endpoint") -> int:
-    return dio_report("B3", mode=mode, spec=spec, N=N, gamma=gamma, X=X).count

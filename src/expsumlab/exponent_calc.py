@@ -124,6 +124,15 @@ class BoundExpr:
         return ", ".join(str(t) for t in self.terms)
 
 
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational from text such as '-17/36'; a zero denominator is a
+    ValueError, as any other unreadable text is."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def parse_monomial(text: str) -> Monomial:
     text = text.strip()
     if text == "1":
@@ -137,7 +146,7 @@ def parse_monomial(text: str) -> Monomial:
         if var not in _VAR_ORDER:
             raise ValueError(f"unknown variable {var!r}; allowed: {VARIABLES}")
         raw = m.group(2) if m.group(2) is not None else m.group(3)
-        e = Fraction(raw.replace(" ", "")) if raw is not None else Fraction(1)
+        e = parse_fraction(raw.replace(" ", "")) if raw is not None else Fraction(1)
         exps[var] = exps.get(var, Fraction(0)) + e
     return Monomial.of(**exps)
 

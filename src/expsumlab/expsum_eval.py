@@ -26,7 +26,7 @@ from .errors import COEFF_TOL, CapacityError, RejectedInstanceError, check_peak
 from .exponent_calc import ExponentPair
 from .floor_mangoldt import QUOTIENT_GUARD
 from .seeding import DetRand, pair_uniform
-from .vaaler_psi import vaaler_phi
+from .vaaler_psi import vaaler_phi_many
 from .vaughan_decomp import alpha_tables
 
 DEFAULT_TERM_BUDGET = 10 ** 8
@@ -300,10 +300,8 @@ def build_floor_scenario(x: float, D: int, delta: float, Hp: int, Hmax: int,
     a3 = a3 / sup3
     a4 = a4 / sup4
     phi_h = np.zeros(Hp + 1)
-    for i in range(Hp + 1):
-        h = Hp + 1 + i
-        if h <= Hmax:
-            phi_h[i] = (Hp / h) * vaaler_phi(h / (Hmax + 1))
+    h = np.arange(Hp + 1, min(2 * Hp + 1, Hmax) + 1)  # weights past Hmax stay 0
+    phi_h[:len(h)] = (Hp / h) * vaaler_phi_many(h / (Hmax + 1))
     a4_c = a4.astype(np.complex128)
 
     def coeff_a(h, m):

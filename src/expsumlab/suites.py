@@ -173,13 +173,10 @@ def dio_suite(seed: int = 0, slack: float = 4.0) -> SuiteResult:
     """Frozen exact counts, doubling ladders with a fitted constant that may
     drift by at most the slack factor, and endpoint-vs-scan agreement."""
     rows = []
-    b0 = dc.count_B0(2, 2.0, 100.0)
-    rows.append(ReportRow("dio", "exact_B0", {"N": 2, "beta": 2.0, "X": 100.0},
-                          b0, 6.0, b0 == 6))
-    b1 = dc.count_B1(2, 2, 1.0, 1.0, 100.0)
-    rows.append(ReportRow("dio", "exact_B1",
-                          {"H": 2, "M": 2, "alpha": 1.0, "beta": 1.0, "X": 100.0},
-                          b1, 6.0, b1 == 6))
+    for kind, params in (("B0", {"N": 2, "beta": 2.0, "X": 100.0}),
+                         ("B1", {"H": 2, "M": 2, "alpha": 1.0, "beta": 1.0, "X": 100.0})):
+        count = dc.dio_report(kind, **params).count
+        rows.append(ReportRow("dio", f"exact_{kind}", params, count, 6.0, count == 6))
     for kind, ladder in _DIO_LADDERS.items():
         base_c = None
         for step in ladder:
@@ -198,9 +195,8 @@ def dio_suite(seed: int = 0, slack: float = 4.0) -> SuiteResult:
     for kind in ("B2", "B3"):
         params = {"N": 8, "gamma": 1.0, "X": 8.0}
         spec = dc.default_spec(kind, params["N"])
-        fn = dc.count_B2 if kind == "B2" else dc.count_B3
-        a = fn(params["N"], params["gamma"], params["X"], spec, mode="endpoint")
-        b = fn(params["N"], params["gamma"], params["X"], spec, mode="scan")
+        a, b = (dc.dio_report(kind, mode=mode, spec=spec, **params).count
+                for mode in dc.MODES)
         rows.append(ReportRow("dio", f"mode_agree_{kind}", params, a, b, a == b))
     return _finish("dio", rows)
 

@@ -16,6 +16,7 @@ At integer x the majorant takes its maximum value 1/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,21 +32,14 @@ _SIN_FALLBACK = 1e-6
 
 def vaaler_phi(t: float) -> float:
     """Tapering weight Phi on (-1, 1); even, Phi(0) = 1, Phi(1/2) = 1/2."""
-    a = abs(t)
-    if a >= 1.0:
-        raise ValueError(f"Phi is defined on |t| < 1, got t = {t}")
-    if a < _PHI_TAYLOR_CUT:
-        u = (math.pi * t) ** 2
-        core = 1.0 - u / 3.0 - u * u / 45.0 - 2.0 * u ** 3 / 945.0
-        return (1.0 - a) * core + a
-    pt = math.pi * t
-    return pt * (1.0 - a) * (math.cos(pt) / math.sin(pt)) + a
+    return float(vaaler_phi_many(np.array([t], dtype=np.float64))[0])
 
 
-def _phi_array(t: np.ndarray) -> np.ndarray:
+def vaaler_phi_many(t: np.ndarray) -> np.ndarray:
+    """Phi at every entry of a float array."""
     a = np.abs(t)
     if np.any(a >= 1.0):
-        raise ValueError("Phi is defined on |t| < 1")
+        raise ValueError(f"Phi is defined on |t| < 1, got t = {t[a >= 1.0][0]}")
     out = np.empty_like(t, dtype=np.float64)
     small = a < _PHI_TAYLOR_CUT
     if np.any(small):
@@ -74,7 +68,7 @@ class VaalerPolynomial:
         if H < 1:
             raise ValueError("degree H must be >= 1")
         h = np.arange(1, H + 1, dtype=np.float64)
-        return cls(H=H, coefficients=_phi_array(h / (H + 1)) / (np.pi * h))
+        return cls(H=H, coefficients=vaaler_phi_many(h / (H + 1)) / (np.pi * h))
 
     def evaluate(self, x: float) -> float:
         h = np.arange(1, self.H + 1, dtype=np.float64)
@@ -86,15 +80,9 @@ class VaalerPolynomial:
         return -np.sin(2.0 * np.pi * np.outer(xs, h)) @ self.coefficients
 
 
-_poly_cache: dict[int, VaalerPolynomial] = {}
-
-
+@functools.cache
 def _poly(H: int) -> VaalerPolynomial:
-    poly = _poly_cache.get(H)
-    if poly is None:
-        poly = VaalerPolynomial.build(H)
-        _poly_cache[H] = poly
-    return poly
+    return VaalerPolynomial.build(H)
 
 
 def psi_approx(x: float, H: int) -> float:

@@ -15,7 +15,7 @@ from expsumlab import bilinear_sieve as bs
 from expsumlab import expsum_eval as ee
 from expsumlab import floor_mangoldt as fm
 from expsumlab import suites
-from expsumlab.diophantine_count import PerturbationSpec, count_B0, count_B1
+from expsumlab.diophantine_count import PerturbationSpec, dio_report
 from expsumlab.exponent_calc import (
     Monomial,
     combined_error_exponent,
@@ -55,8 +55,8 @@ def test_c03_dispersion_constant_battery():
 
 
 def test_c04_diophantine_counts():
-    assert count_B0(2, 2.0, 100.0) == 6
-    assert count_B1(2, 2, 1.0, 1.0, 100.0) == 6
+    assert dio_report("B0", N=2, beta=2.0, X=100.0).count == 6
+    assert dio_report("B1", H=2, M=2, alpha=1.0, beta=1.0, X=100.0).count == 6
     # doubling ladders with slack <= 4 and endpoint == scan agreement
     result = suites.dio_suite(seed=0, slack=4.0)
     _green(result)

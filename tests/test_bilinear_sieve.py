@@ -148,6 +148,14 @@ def test_lemma21_singleton_diagonal():
     assert rep.passed
 
 
+def test_lemma21_refuses_nonpositive_eta():
+    # 1/eta is formed for the right-hand side, so eta is checked first
+    pts = bs.PointSet(points=np.array([0.4]), coeffs=np.array([1.0]), Y=1.0)
+    for eta in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            bs.lemma21_check(pts, T=1.0, eta=eta)
+
+
 def test_lemma21_kernel_oracle():
     rng = DetRand(31)
     pts = bs.PointSet(points=rng.uniform_array(12, 0.0, 2.0),

@@ -9,6 +9,7 @@ from expsumlab.cli_harness import (
     load_config_file,
     main,
 )
+from expsumlab.diophantine_count import KIND_PARAMS
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +38,16 @@ def test_dio_single_count(capsys):
     assert rc == 0
     line = [l for l in out.splitlines() if l.startswith("dio,B0")][0]
     assert float(line.split(",")[-6]) == 6.0
+
+
+@pytest.mark.parametrize("kind", ["B0", "B1", "B2", "B3"])
+def test_dio_single_count_params_follow_kind_table(capsys, kind):
+    # the parser's flags must supply exactly the parameters the counter takes
+    rc, out, err = _run(capsys, ["--format", "json", "dio", "--kind", kind, "--X", "8"])
+    assert rc == 0
+    params = json.loads(out)["rows"][0]["params"]
+    spec_fields = {"beta_spec", "delta", "M_spec", "kind_spec"} if kind in ("B2", "B3") else set()
+    assert set(params) == set(KIND_PARAMS[kind]) | spec_fields
 
 
 def test_expcalc_balance_headline(capsys):
@@ -127,6 +138,14 @@ def test_runtime_error_exits_one(capsys):
     (["dio", "--kind", "B2", "--delta", "nan"], "delta must be a finite number"),
     (["dio", "--kind", "B0", "--beta", "nan"], "beta must be a finite number"),
     (["dio", "--kind", "B0", "--X", "inf"], "X must be a finite number"),
+    (["expcalc", "substitute", "--terms", "x^1/0"], "zero denominator in '1/0'"),
+    (["expcalc", "substitute", "--terms", "x^{1/0}"], "zero denominator in '1/0'"),
+    (["expcalc", "substitute", "--terms", "E", "--assign", "E=x^{2/0}"],
+     "zero denominator in '2/0'"),
+    (["expcalc", "balance", "--terms", "E, x", "--range", "1/0:1"],
+     "zero denominator in '1/0'"),
+    (["expcalc", "dominate", "--a", "D", "--b", "D", "--range", "0:1/0"],
+     "zero denominator in '1/0'"),
 ], ids=["msum-budget", "expsum-count30", "expsum-partial-baseline",
         "expsum-list-baseline", "expsum-text-entry", "frak-s-precision",
         "frak-s-nan", "frak-s-delta-nan", "sieve-window-wide",
@@ -135,7 +154,9 @@ def test_runtime_error_exits_one(capsys):
         "substitute-no-terms", "balance-no-terms", "dominate-no-a",
         "dominate-no-b", "dominate-no-range", "psi-count0", "psi-count-neg",
         "dls-count0", "dls-count-neg", "dio-alpha-nan", "dio-delta-nan",
-        "dio-beta-nan", "dio-x-inf"])
+        "dio-beta-nan", "dio-x-inf", "substitute-zero-denominator",
+        "substitute-braced-zero-denominator", "assign-zero-denominator",
+        "balance-range-zero-denominator", "dominate-range-zero-denominator"])
 def test_refused_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, needle):
     from expsumlab.suites import load_baselines
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,10 +11,6 @@ from expsumlab import bilinear_sieve as bs
 from expsumlab import diophantine_count as dc
 from expsumlab.diophantine_count import (
     PerturbationSpec,
-    count_B0,
-    count_B1,
-    count_B2,
-    count_B3,
     default_spec,
     dio_bound,
     dio_report,
@@ -24,6 +21,11 @@ from expsumlab.diophantine_count import (
     sup_distance_blocks,
 )
 from expsumlab.errors import CapacityError
+
+
+def _line():
+    """The line number of the caller."""
+    return sys._getframe(1).f_lineno
 
 
 def _spec(delta=0.5, beta=1.0, M=4, kind="mu"):
@@ -38,28 +40,28 @@ def test_b0_hand_enumeration():
     assert rep.count == 14
     assert rep.boundary == 8
     # threshold 1/4 keeps only d = 0 pairs: 4 diagonal + (3.5, 3.5) twice
-    assert count_B0(2, 1.0, 4.0) == 6
+    assert dio_report("B0", N=2, beta=1.0, X=4.0).count == 6
 
 
 def test_b0_frozen_tight_threshold():
     # N=2, beta=2: sums [4.5, 6.25, 6.25, 8], threshold 0.01
-    assert count_B0(2, 2.0, 100.0) == 6
+    assert dio_report("B0", N=2, beta=2.0, X=100.0).count == 6
 
 
 def test_b1_hand_enumeration():
     # H=M=2, alpha=beta=1: products h*m/(HM) for h,m in (2,4] give
     # [9, 12, 12, 16]/4; threshold 0.01 keeps d = 0 pairs only
-    assert count_B1(2, 2, 1.0, 1.0, 100.0) == 6
+    assert dio_report("B1", H=2, M=2, alpha=1.0, beta=1.0, X=100.0).count == 6
 
 
 def test_counts_monotone_in_x():
     prev = None
     for X in (1.0, 2.0, 4.0, 8.0, 100.0):
-        c = count_B0(3, 1.5, X)
+        c = dio_report("B0", N=3, beta=1.5, X=X).count
         if prev is not None:
             assert c <= prev
         prev = c
-    assert count_B0(3, 1.5, 1e-9) == (3 * 3) ** 2  # huge threshold: all pairs
+    assert dio_report("B0", N=3, beta=1.5, X=1e-9).count == (3 * 3) ** 2  # huge threshold: all pairs
 
 
 def test_phi_pair_hand_value():
@@ -94,21 +96,43 @@ def test_b3_delta_zero_diagonal():
     # unperturbed members are constants N^g/n^g; a tiny threshold keeps
     # exactly the diagonal
     for N in (4, 16):
-        assert count_B3(N, 1.0, 1e9, spec) == N
+        assert dio_report("B3", spec=spec, N=N, gamma=1.0, X=1e9).count == N
 
 
 def test_endpoint_mode_matches_scan():
     spec = _spec(delta=0.5, M=8)
-    for kind, counter in (("B2", count_B2), ("B3", count_B3)):
+    for kind in ("B2", "B3"):
         for X in (2.0, 8.0, 64.0):
-            a = counter(8, 1.0, X, spec, mode="endpoint")
-            b = counter(8, 1.0, X, spec, mode="scan")
+            a, b = (dio_report(kind, mode=mode, spec=spec, N=8, gamma=1.0, X=X).count
+                    for mode in ("endpoint", "scan"))
             assert a == b, (kind, X)
 
 
 def test_mode_validation():
     with pytest.raises(ValueError):
-        count_B3(4, 1.0, 2.0, _spec(), mode="grid")
+        dio_report("B3", mode="grid", spec=_spec(), N=4, gamma=1.0, X=2.0)
+
+
+@pytest.mark.parametrize("kind, kwargs, needle", [
+    ("B4", {"N": 2, "X": 4.0}, "unknown kind 'B4'"),
+    ("B0", {"N": 2, "X": 4.0}, "B0 needs beta"),
+    ("B1", {"H": 2, "beta": 1.0, "X": 4.0}, "B1 needs M, alpha"),
+    ("B0", {"N": 2, "beta": 1.0, "X": 4.0, "gamma": 2.0}, "B0 takes no gamma"),
+    ("B3", {"N": 2, "gamma": 1.0, "X": 4.0, "M": 2}, "B3 takes no M"),
+    ("B0", {"N": 2, "beta": 1.0, "X": 4.0, "spec": _spec()},
+     "B0 takes no perturbation spec"),
+    ("B0", {"N": 2, "beta": 1.0, "X": 4.0, "eps": math.nan},
+     "eps must be a finite number"),
+    # B0 and B1 tabulate no m, yet a mode they would ignore is still refused
+    ("B0", {"N": 2, "beta": 1.0, "X": 4.0, "mode": "grid"}, "unknown mode 'grid'"),
+    ("B1", {"H": 2, "M": 2, "alpha": 1.0, "beta": 1.0, "X": 4.0, "mode": "grid"},
+     "unknown mode 'grid'"),
+], ids=["unknown-kind", "missing-beta", "missing-M-alpha", "unexpected-gamma",
+        "unexpected-M", "spec-for-B0", "eps-nan", "mode-for-B0", "mode-for-B1"])
+def test_dio_report_refuses_bad_arguments(kind, kwargs, needle):
+    # every refusal is a ValueError that names the fault
+    with pytest.raises(ValueError, match=needle):
+        dio_report(kind, **kwargs)
 
 
 def test_dio_bound_values():
@@ -159,11 +183,9 @@ def test_regime_warning():
 
 def test_regime_warning_names_the_callers_line():
     spec = _spec(delta=0.5, M=2)
-    for call in (lambda: dio_report("B3", spec=spec, N=2, gamma=1.0, X=1000.0),
-                 lambda: count_B3(2, 1.0, 1000.0, spec)):
-        with pytest.warns(UserWarning) as record:
-            call()
-        assert [w.filename for w in record] == [__file__]
+    with pytest.warns(UserWarning) as record:
+        dio_report("B3", spec=spec, N=2, gamma=1.0, X=1000.0)
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, _line() - 1)]
     # a caller whose globals carry no __name__ still gets the warning
     with pytest.warns(UserWarning, match="outside supported window"):
         exec("dio_report('B3', spec=spec, N=2, gamma=1.0, X=1000.0)",
@@ -173,27 +195,27 @@ def test_regime_warning_names_the_callers_line():
 def test_capacity_guards():
     # each just over the 10^9 tuple budget; refused before any table is built
     with pytest.raises(CapacityError, match=r"N\^4 = 1003875856"):
-        count_B0(178, 1.0, 10.0)
+        dio_report("B0", N=178, beta=1.0, X=10.0)
     with pytest.raises(CapacityError, match=r"\(HM\)\^2"):
-        count_B1(178, 178, 1.0, 1.0, 10.0)
+        dio_report("B1", H=178, M=178, alpha=1.0, beta=1.0, X=10.0)
     with pytest.raises(CapacityError, match=r"N\^4"):
-        count_B2(178, 1.0, 10.0, _spec())
+        dio_report("B2", spec=_spec(), N=178, gamma=1.0, X=10.0)
     with pytest.raises(CapacityError, match=r"N\^2"):
-        count_B3(31623, 1.0, 10.0, _spec())
+        dio_report("B3", spec=_spec(), N=31623, gamma=1.0, X=10.0)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        count_B0(0, 1.0, 10.0)
+        dio_report("B0", N=0, beta=1.0, X=10.0)
     with pytest.raises(ValueError):
-        count_B0(2, 1.0, 0.0)
+        dio_report("B0", N=2, beta=1.0, X=0.0)
     with pytest.raises(ValueError):
-        count_B2(2, 0.0, 10.0, _spec())
+        dio_report("B2", spec=_spec(), N=2, gamma=0.0, X=10.0)
     # a non-finite X or spec delta is refused, not counted
     with pytest.raises(ValueError, match="X must be a finite number"):
-        count_B0(2, 1.0, math.inf)
+        dio_report("B0", N=2, beta=1.0, X=math.inf)
     with pytest.raises(ValueError, match="delta must be a finite number"):
-        count_B2(2, 1.0, 10.0, _spec(delta=math.nan))
+        dio_report("B2", spec=_spec(delta=math.nan), N=2, gamma=1.0, X=10.0)
 
 
 @pytest.mark.parametrize("kind,N", [("B2", 3), ("B3", 5)])
@@ -230,14 +252,14 @@ def test_b2_b3_are_unit_weight_function_correlations(N):
     # B2/B3 in scan mode are corr_fn(1/X) of the dispersion inequality over
     # the pair-difference and reciprocal families with unit coefficients
     ms = np.arange(N + 1, 2 * N + 1)
-    for kind, counter, family in (("B2", count_B2, bs.pair_difference_family),
-                                  ("B3", count_B3, bs.reciprocal_family)):
+    for kind, family in (("B2", bs.pair_difference_family),
+                         ("B3", bs.reciprocal_family)):
         spec = default_spec(kind, N)
         fam = family(N, 1.0, spec, ms)
         for X in (2.0, 8.0, 64.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # X = 64 leaves the regime
-                count = counter(N, 1.0, X, spec, mode="scan")
+                count = dio_report(kind, mode="scan", spec=spec, N=N, gamma=1.0, X=X).count
             assert bs.correlation_functions(fam, 1.0 / X) == count, (kind, X)
 
 

@@ -57,6 +57,10 @@ def test_parse_rejections():
         parse_monomial("x^")
     with pytest.raises(ValueError):
         parse_monomial("")
+    # a zero denominator is unreadable text, not an arithmetic error
+    for text in ("x^1/0", "x^{1/0}", "x^{-3 / 0}"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_monomial(text)
 
 
 def test_parse_bound_expr_splits_on_commas():

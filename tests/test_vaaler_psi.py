@@ -13,6 +13,7 @@ from expsumlab.vaaler_psi import (
     psi_approx,
     psi_approx_many,
     vaaler_phi,
+    vaaler_phi_many,
 )
 
 
@@ -24,6 +25,15 @@ def test_phi_special_values():
         vaaler_phi(1.0)
     with pytest.raises(ValueError):
         vaaler_phi(-1.5)
+
+
+def test_phi_many_matches_closed_form():
+    # away from t = 0 the array form is pi t (1 - |t|) cot(pi t) + |t|
+    ts = np.concatenate([np.linspace(-0.999, -0.001, 999), np.arange(1, 17) / 17])
+    want = [math.pi * t * (1 - abs(t)) / math.tan(math.pi * t) + abs(t) for t in ts]
+    assert vaaler_phi_many(ts) == pytest.approx(want, rel=1e-13, abs=1e-15)
+    with pytest.raises(ValueError, match="got t = 1.5"):
+        vaaler_phi_many(np.array([0.2, 1.5]))
 
 
 def test_phi_taylor_seam():
