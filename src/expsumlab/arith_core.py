@@ -78,12 +78,8 @@ def chunked_tree_sum(n: int, chunk_fn, chunk_size: int = 1 << 16, workers: int =
 # fractional parts
 
 
-def psi_frac(t: float) -> float:
-    """Centered sawtooth {t} - 1/2."""
-    return t - math.floor(t) - 0.5
-
-
 def psi_frac_many(t) -> np.ndarray:
+    """Centered sawtooth {t} - 1/2 at every entry of t."""
     t = np.asarray(t, dtype=np.float64)
     return t - np.floor(t) - 0.5
 

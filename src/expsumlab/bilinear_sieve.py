@@ -190,8 +190,8 @@ def dls_proof_constant(K: float) -> float:
     the reported reference (1 + K X Y) corr_pts corr_fn, the quotient
     pi^2 (3u + K/2)/(1 + u) with u = KXY is at most pi^2 max(3, K/2).
     """
-    if not K >= 1:
-        raise ValueError("K must be >= 1")
+    if not 1 <= K < math.inf:  # NaN fails too
+        raise ValueError("K must be >= 1 and finite")
     return math.pi ** 2 * max(3.0, K / 2.0)
 
 

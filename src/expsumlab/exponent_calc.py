@@ -362,13 +362,6 @@ class ExponentPair:
             raise ValueError("need 0 <= kappa <= 1/2 <= lambda <= 1")
 
 
-def lwy_first_term(pair: ExponentPair) -> Monomial:
-    """(X^k H^{2+k} M^{2+k} N^{1+k+l})^{1/(2+2k)} as a monomial."""
-    k, lam = pair.kappa, pair.lam
-    d = 2 + 2 * k
-    return Monomial.of(X=k / d, H=(2 + k) / d, M=(2 + k) / d, N=(1 + k + lam) / d)
-
-
 def type_one_bound(pair: ExponentPair, include_l_term: bool = False) -> BoundExpr:
     """Bound shape x^k D^{(-5k+2l+1)/3} L^k + x^{-1} D^2 for the smooth-variable
     sums, optionally with the D L^{-1} sharp-cutoff remainder term."""

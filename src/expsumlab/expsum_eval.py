@@ -6,7 +6,7 @@ The object is
         e( X * (M^beta N^gamma / H^alpha) * h^alpha / (m^beta n^gamma + delta) )
 
 over dyadic blocks (A, 2A], with |a|, |b| <= 1 and delta >= 0 a constant
-perturbation.  This module evaluates S deterministically, evaluates five
+perturbation.  This module evaluates S deterministically, evaluates three
 reference bound shapes against it, and builds the scenario instances that
 arise when the block sum of Lambda(d) psi(x/(d+delta)) is opened up into
 bilinear pieces.
@@ -17,13 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
 from .arith_core import chunked_tree_sum
 from .errors import COEFF_TOL, CapacityError, RejectedInstanceError, check_peak
-from .exponent_calc import ExponentPair
 from .floor_mangoldt import QUOTIENT_GUARD
 from .seeding import DetRand, pair_uniform
 from .vaaler_psi import vaaler_phi_many
@@ -35,9 +33,7 @@ _INNER_TERMS = 1 << 18
 
 class Bound(str, Enum):
     thm1 = "thm1"
-    fi89 = "fi89"
     rs06 = "rs06"
-    sw = "sw"
     lwy = "lwy"
 
 
@@ -173,14 +169,14 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1) -> complex:
 # reference bounds
 
 
-def bound_value(inst: ExpSumInstance, which, pair: ExponentPair | None = None) -> float:
+def bound_value(inst: ExpSumInstance, which) -> float:
     """Numeric value of the selected bound shape, implied constant 1, with
     the instance's epsilon standing in for the arbitrarily small exponent.
 
-    thm1 is the perturbation-aware shape with its K-dependence; fi89, rs06
-    and sw are the delta = 0 literature shapes (sw is proven only for alpha
-    outside {1, 2}, which is not enforced here); lwy is the exponent-pair
-    shape valid for H <= M^{beta-1} N^gamma and 0 <= delta <= 1/epsilon."""
+    thm1 is the perturbation-aware shape with its K-dependence; rs06 is the
+    delta = 0 literature shape that thm1 reduces to at K = 1; lwy is the
+    shape from the exponent pair (1/2, 1/2), valid for H <= M^{beta-1} N^gamma
+    and 0 <= delta <= 1/epsilon."""
     which = Bound(which)
     H, M, N, X, K = float(inst.H), float(inst.M), float(inst.N), inst.X, inst.K
     hmn_eps = (H * M * N) ** (1.0 + inst.epsilon)
@@ -196,26 +192,11 @@ def bound_value(inst: ExpSumInstance, which, pair: ExponentPair | None = None) -
             + (K / N) ** 0.5
             + K / X ** 0.5
         )
-    if which is Bound.fi89:
-        return hmn_eps * (
-            (X / (H * M * N * N)) ** 0.25
-            + N ** -0.3
-            + (H * M) ** -0.25
-            + N ** 0.1 / X ** 0.25
-        )
     if which is Bound.rs06:
         return hmn_eps * (
             (X / (H * M * N * N)) ** 0.25
             + (H * M) ** -0.25
             + N ** -0.5
-            + X ** -0.5
-        )
-    if which is Bound.sw:
-        return hmn_eps * (
-            (X ** 4 / (H ** 4 * M ** 4 * N ** 11)) ** (1.0 / 26.0)
-            + (X / (H * M * N * N)) ** 0.25
-            + N ** (-7.0 / 18.0)
-            + (H * M) ** -0.25
             + X ** -0.5
         )
     # lwy
@@ -229,9 +210,7 @@ def bound_value(inst: ExpSumInstance, which, pair: ExponentPair | None = None) -
             f"delta <= 1/epsilon violated: delta = {inst.delta:.6g} > "
             f"{1.0 / inst.epsilon:.6g}"
         )
-    if pair is None:
-        pair = ExponentPair(Fraction(1, 2), Fraction(1, 2))
-    k, lam = float(pair.kappa), float(pair.lam)
+    k, lam = 0.5, 0.5  # the exponent pair (1/2, 1/2)
     first = (X ** k * H ** (2 + k) * M ** (2 + k) * N ** (1 + k + lam)) ** (1.0 / (2 + 2 * k))
     return (first + H * M * N ** 0.5 + (H * M) ** 0.5 * N + H * M * N / X ** 0.5) * X ** inst.epsilon
 
@@ -250,18 +229,6 @@ def unimodular_coeff_a(key: int):
 def unimodular_coeff_b(key: int):
     def fn(n):
         return np.exp(2j * np.pi * pair_uniform(key, 0, n))
-    return fn
-
-
-def constant_coeff_a(value: complex = 1.0):
-    def fn(h, m):
-        return np.full(len(m), value, dtype=np.complex128)
-    return fn
-
-
-def constant_coeff_b(value: complex = 1.0):
-    def fn(n):
-        return np.full(len(n), value, dtype=np.complex128)
     return fn
 
 

@@ -17,8 +17,7 @@ At integer x the majorant takes its maximum value 1/2.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -30,16 +29,18 @@ _PHI_TAYLOR_CUT = 1e-4
 _SIN_FALLBACK = 1e-6
 
 
-def vaaler_phi(t: float) -> float:
-    """Tapering weight Phi on (-1, 1); even, Phi(0) = 1, Phi(1/2) = 1/2."""
-    return float(vaaler_phi_many(np.array([t], dtype=np.float64))[0])
+def _check_degree(H) -> None:
+    if not isinstance(H, numbers.Integral) or H < 1:
+        raise ValueError(f"degree H must be an integer >= 1, got {H!r}")
 
 
 def vaaler_phi_many(t: np.ndarray) -> np.ndarray:
-    """Phi at every entry of a float array."""
+    """Tapering weight Phi at every entry of a float array: defined on
+    |t| < 1, even, Phi(0) = 1, Phi(1/2) = 1/2."""
     a = np.abs(t)
-    if np.any(a >= 1.0):
-        raise ValueError(f"Phi is defined on |t| < 1, got t = {t[a >= 1.0][0]}")
+    outside = ~(a < 1.0)  # NaN is outside too
+    if np.any(outside):
+        raise ValueError(f"Phi is defined on |t| < 1, got t = {t[outside][0]}")
     out = np.empty_like(t, dtype=np.float64)
     small = a < _PHI_TAYLOR_CUT
     if np.any(small):
@@ -53,63 +54,29 @@ def vaaler_phi_many(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class VaalerPolynomial:
-    """Degree-H sine polynomial with coefficients c_h = Phi(h/(H+1))/(pi h).
-
-    The c_h are strictly positive and strictly decreasing in h.
-    """
-
-    H: int
-    coefficients: np.ndarray
-
-    @classmethod
-    def build(cls, H: int) -> "VaalerPolynomial":
-        if H < 1:
-            raise ValueError("degree H must be >= 1")
-        h = np.arange(1, H + 1, dtype=np.float64)
-        return cls(H=H, coefficients=vaaler_phi_many(h / (H + 1)) / (np.pi * h))
-
-    def evaluate(self, x: float) -> float:
-        h = np.arange(1, self.H + 1, dtype=np.float64)
-        return -float(np.dot(self.coefficients, np.sin(2.0 * np.pi * x * h)))
-
-    def evaluate_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        h = np.arange(1, self.H + 1, dtype=np.float64)
-        return -np.sin(2.0 * np.pi * np.outer(xs, h)) @ self.coefficients
-
-
-@functools.cache
-def _poly(H: int) -> VaalerPolynomial:
-    return VaalerPolynomial.build(H)
-
-
-def psi_approx(x: float, H: int) -> float:
-    """Degree-H approximation to psi_frac at x."""
-    return _poly(H).evaluate(x)
+# typed, so a cached int degree never answers for an equal float
+@functools.lru_cache(maxsize=None, typed=True)
+def vaaler_coefficients(H: int) -> np.ndarray:
+    """Read-only coefficients c_h = Phi(h/(H+1))/(pi h), h = 1..H, of the
+    degree-H sine polynomial; strictly positive and strictly decreasing."""
+    _check_degree(H)
+    h = np.arange(1, H + 1, dtype=np.float64)
+    c = vaaler_phi_many(h / (H + 1)) / (np.pi * h)
+    c.flags.writeable = False
+    return c
 
 
 def psi_approx_many(xs, H: int) -> np.ndarray:
-    return _poly(H).evaluate_many(xs)
-
-
-def error_majorant(x: float, H: int) -> float:
-    """Pointwise bound on |psi_frac - psi_approx| at degree H."""
-    if H < 1:
-        raise ValueError("degree H must be >= 1")
-    s = math.sin(math.pi * x)
-    if abs(s) < _SIN_FALLBACK:
-        h = np.arange(1, H + 1, dtype=np.float64)
-        kernel = 1.0 + 2.0 * float(
-            np.dot(1.0 - h / (H + 1), np.cos(2.0 * np.pi * x * h))
-        )
-        return max(kernel, 0.0) / (2.0 * (H + 1))
-    r = math.sin(math.pi * (H + 1) * x) / s
-    return r * r / (2.0 * (H + 1) ** 2)
+    """Degree-H approximation to psi_frac at every entry of xs."""
+    c = vaaler_coefficients(H)
+    xs = np.asarray(xs, dtype=np.float64)
+    h = np.arange(1, H + 1, dtype=np.float64)
+    return -np.sin(2.0 * np.pi * np.outer(xs, h)) @ c
 
 
 def error_majorant_many(xs, H: int) -> np.ndarray:
+    """Pointwise bound on |psi_frac - psi_approx| at degree H."""
+    _check_degree(H)
     xs = np.asarray(xs, dtype=np.float64)
     s = np.sin(np.pi * xs)
     out = np.empty_like(xs)

@@ -191,16 +191,19 @@ def test_dls_proof_constant_shape():
     assert bs.dls_proof_constant(8.0) == pytest.approx(4.0 * math.pi ** 2)
     with pytest.raises(ValueError):
         bs.dls_proof_constant(0.5)
-    # K < 1 is false for NaN; the check must still refuse it
-    with pytest.raises(ValueError, match="K must be >= 1"):
-        bs.dls_proof_constant(math.nan)
+    # K < 1 is false for NaN; the check must still refuse it, and an infinite
+    # K would make every ratio 0
+    for K in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="K must be >= 1 and finite"):
+            bs.dls_proof_constant(K)
 
 
 def test_dls_check_refuses_nan_K():
     pts = bs.PointSet(points=np.array([0.5]), coeffs=np.array([1.0]), Y=1.0)
     fam = bs.FunctionFamily(table=np.array([[0.3]]), coeffs=np.array([1.0]), X=1.0)
-    with pytest.raises(ValueError, match="K must be >= 1"):
-        bs.dls_check(fam, pts, K=math.nan)
+    for K in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="K must be >= 1 and finite"):
+            bs.dls_check(fam, pts, K=K)
 
 
 def test_dls_singleton_ratio_small():

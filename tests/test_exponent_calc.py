@@ -14,7 +14,6 @@ from expsumlab.exponent_calc import (
     balance_pair,
     combined_error_exponent,
     dominance_check,
-    lwy_first_term,
     minimax_balance,
     optimize_type_one,
     parse_bound_expr,
@@ -204,11 +203,6 @@ def test_exponent_pair_validation():
         ExponentPair(F(2, 3), 1)
     with pytest.raises(ValueError):
         ExponentPair(0, F(1, 3))
-
-
-def test_lwy_first_term_shape():
-    m = lwy_first_term(ExponentPair(F(1, 2), F(1, 2)))
-    assert m == Monomial.of(X=F(1, 6), H=F(5, 6), M=F(5, 6), N=F(2, 3))
 
 
 def test_type_one_optimization():

@@ -10,15 +10,24 @@ from expsumlab.expsum_eval import (
     ExpSumInstance,
     bound_value,
     build_floor_scenario,
-    constant_coeff_a,
-    constant_coeff_b,
     eval_exp_sum,
     lattice_count,
     random_regime_instances,
     unimodular_coeff_a,
     unimodular_coeff_b,
 )
-from expsumlab.exponent_calc import ExponentPair
+
+
+def constant_coeff_a(value: complex = 1.0):
+    def fn(h, m):
+        return np.full(len(m), value, dtype=np.complex128)
+    return fn
+
+
+def constant_coeff_b(value: complex = 1.0):
+    def fn(n):
+        return np.full(len(n), value, dtype=np.complex128)
+    return fn
 
 
 def _inst(seed=7, H=4, M=4, N=4, X=10.0, delta=0.5, K=5.0, **kw):
@@ -197,19 +206,11 @@ def test_lwy_hand_value_and_rejections():
         bound_value(deep, "lwy")
 
 
-def test_lwy_pair_dependence():
-    inst = _inst(H=1, M=4, N=4, delta=0.0, K=1.0)
-    default = bound_value(inst, "lwy")
-    explicit = bound_value(inst, "lwy", pair=ExponentPair(0.5, 0.5))
-    assert default == explicit
-    other = bound_value(inst, "lwy", pair=ExponentPair(0, 1))
-    assert other != default
-
-
 def test_bound_name_validation():
     with pytest.raises(ValueError):
         bound_value(_inst(), "nope")
-    assert Bound("sw") is Bound.sw
+    assert Bound("rs06") is Bound.rs06
+    assert {b.value for b in Bound} == {"thm1", "rs06", "lwy"}
 
 
 def test_random_regime_instances_properties():

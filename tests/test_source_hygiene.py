@@ -1,13 +1,16 @@
 """Source hygiene: no module of the package imports a name it never uses,
-reads a private name of another package module, or imports a package
-module inside a function."""
+reads a private name of another package module, imports a package module
+inside a function, or defines a public name that neither the package nor
+the benchmark reads."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "expsumlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "expsumlab"
+PERFBENCH = ROOT / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -112,3 +115,51 @@ def test_scan_sees_local_package_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_local_package_imports(path):
     assert local_package_imports(path.read_text()) == []
+
+
+# Public names that no package module and no benchmark file reads, kept on
+# purpose; every other such name is dead code.
+UNREACHED_KEPT = {
+    "diophantine_count.phi_pair": "brute-force oracle of the B2 table tests",
+    "diophantine_count.psi_single": "brute-force oracle of the B3 table tests",
+    "floor_mangoldt.r_delta": "the R_delta window sum, kept for the proof ledger",
+    "suites.measure_baselines": "regenerates data/baselines.json",
+}
+
+
+def unreached_names(defining: dict, readers: list) -> list:
+    """Public top-level functions and classes of the defining sources (a map
+    from module name to text) that no reader source reads as a bare name, as
+    an attribute, or by a from-import."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in read):
+                found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_scan_sees_unreached_names():
+    core = ("def used(x):\n    return helper(x)\n"
+            "def helper(x):\n    return x\n"
+            "class Dead:\n    def used(self):\n        pass\n"
+            "def _private():\n    pass\n")
+    user = "from .core import used\nimport core\ny = core.helper\n"
+    assert unreached_names({"core": core}, [core, user]) == ["core.Dead"]
+    assert unreached_names({"core": core}, [core]) == ["core.Dead", "core.used"]
+
+
+def test_no_unreached_public_names():
+    package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))]
+    assert unreached_names(package, list(package.values()) + bench) == sorted(UNREACHED_KEPT)

@@ -5,26 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab.arith_core import psi_frac, psi_frac_many
+from expsumlab.arith_core import psi_frac_many
 from expsumlab.vaaler_psi import (
-    VaalerPolynomial,
-    error_majorant,
     error_majorant_many,
-    psi_approx,
     psi_approx_many,
-    vaaler_phi,
+    vaaler_coefficients,
     vaaler_phi_many,
 )
 
 
+def _phi(t: float) -> float:
+    return float(vaaler_phi_many(np.array([t]))[0])
+
+
 def test_phi_special_values():
-    assert vaaler_phi(0.0) == pytest.approx(1.0, abs=1e-15)
-    assert vaaler_phi(0.5) == pytest.approx(0.5, abs=1e-12)
-    assert vaaler_phi(-0.3) == pytest.approx(vaaler_phi(0.3), abs=1e-15)
+    assert _phi(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert _phi(0.5) == pytest.approx(0.5, abs=1e-12)
+    assert _phi(-0.3) == pytest.approx(_phi(0.3), abs=1e-15)
     with pytest.raises(ValueError):
-        vaaler_phi(1.0)
+        _phi(1.0)
     with pytest.raises(ValueError):
-        vaaler_phi(-1.5)
+        _phi(-1.5)
+
+
+def test_phi_refuses_nan():
+    # abs(nan) >= 1 is false, so the domain test must be ~(abs(t) < 1)
+    with pytest.raises(ValueError, match="got t = nan"):
+        vaaler_phi_many(np.array([0.2, math.nan]))
 
 
 def test_phi_many_matches_closed_form():
@@ -39,33 +46,44 @@ def test_phi_many_matches_closed_form():
 def test_phi_taylor_seam():
     # the series branch and the closed form must agree across the switch
     lo, hi = 0.99e-4, 1.01e-4
-    assert abs(vaaler_phi(lo) - vaaler_phi(hi)) <= 1e-8
+    assert abs(_phi(lo) - _phi(hi)) <= 1e-8
 
 
 def test_phi_monotone_decreasing_on_grid():
     ts = np.linspace(0.0, 0.999, 500)
-    vals = np.array([vaaler_phi(float(t)) for t in ts])
+    vals = vaaler_phi_many(ts)
     assert np.all(np.diff(vals) < 0)
     assert np.all(vals > 0)
 
 
 def test_polynomial_coefficients_positive_decreasing():
-    poly = VaalerPolynomial.build(25)
-    c = poly.coefficients
+    c = vaaler_coefficients(25)
     assert len(c) == 25
     assert np.all(c > 0)
     assert np.all(np.diff(c) < 0)
+    # the cached array is shared, so no caller may write to it
+    with pytest.raises(ValueError, match="read-only"):
+        c[0] = 0.0
+
+
+@pytest.mark.parametrize("H", [2.5, 0, -1, 3.0])
+def test_bad_degree_refused(H):
+    vaaler_coefficients(3)  # an equal int degree in the cache must not answer for 3.0
+    for fn in (psi_approx_many, error_majorant_many):
+        with pytest.raises(ValueError, match="degree H must be an integer >= 1"):
+            fn(np.array([0.3]), H)
 
 
 def test_psi_approx_hand_value():
     # degree 1: psi*(x) = -(Phi(1/2)/pi) sin(2 pi x); at x = 1/4 this is -1/(2 pi)
-    assert psi_approx(0.25, 1) == pytest.approx(-1.0 / (2.0 * math.pi), abs=1e-12)
+    assert psi_approx_many([0.25], 1)[0] == pytest.approx(-1.0 / (2.0 * math.pi), abs=1e-12)
 
 
 def test_psi_approx_zeros():
     for H in (1, 7, 40):
-        assert psi_approx(0.0, H) == pytest.approx(0.0, abs=1e-14)
-        assert psi_approx(0.5, H) == pytest.approx(0.0, abs=1e-12)
+        at0, at_half = psi_approx_many([0.0, 0.5], H)
+        assert at0 == pytest.approx(0.0, abs=1e-14)
+        assert at_half == pytest.approx(0.0, abs=1e-12)
 
 
 def test_psi_approx_odd_and_periodic():
@@ -78,19 +96,25 @@ def test_psi_approx_odd_and_periodic():
 
 def test_majorant_frozen_values():
     for H in (1, 5, 50):
-        assert error_majorant(0.0, H) == pytest.approx(0.5, abs=1e-12)
-    assert error_majorant(0.5, 1) == pytest.approx(0.0, abs=1e-12)
+        assert error_majorant_many([0.0], H)[0] == pytest.approx(0.5, abs=1e-12)
+    assert error_majorant_many([0.5], 1)[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_majorant_cosine_oracle():
+def _fejer(x: float, H: int) -> float:
     # Fejer-kernel form: (1/(2H+2)) sum_{|h|<=H} (1-|h|/(H+1)) cos(2 pi h x)
-    x, H = 0.3, 10
     want = 1.0
     for h in range(1, H + 1):
         want += 2.0 * (1.0 - h / (H + 1)) * math.cos(2.0 * math.pi * h * x)
-    want /= 2.0 * H + 2.0
-    assert error_majorant(x, H) == pytest.approx(want, abs=1e-12)
-    assert error_majorant_many(np.array([x]), H)[0] == pytest.approx(want, abs=1e-12)
+    return want / (2.0 * H + 2.0)
+
+
+def test_majorant_cosine_oracle():
+    # 0.3 takes the closed form; the rest have |sin(pi x)| < 1e-6 and take
+    # the cosine-series branch
+    xs = [0.3, 0.0, 1e-9, -1e-9, 0.999999999, -1.0, 2.0]
+    for H in (2, 10, 19):
+        want = [_fejer(x, H) for x in xs]
+        assert error_majorant_many(np.array(xs), H) == pytest.approx(want, abs=1e-12)
 
 
 def test_majorant_nonnegative():
@@ -102,30 +126,18 @@ def test_majorant_nonnegative():
 @given(st.floats(-2.0, 2.0, allow_nan=False), st.integers(1, 60))
 @settings(max_examples=400, deadline=None)
 def test_approx_error_under_majorant(x, H):
-    err = abs(psi_frac(x) - psi_approx(x, H))
-    assert err <= error_majorant(x, H) + 1e-12
-
-
-def test_vectorized_matches_scalar():
-    xs = np.array([-0.7, 0.0, 0.124, 0.5, 0.999999999, 1.3])
-    for H in (2, 19):
-        many = psi_approx_many(xs, H)
-        maj = error_majorant_many(xs, H)
-        for i, x in enumerate(xs):
-            assert many[i] == pytest.approx(psi_approx(float(x), H), abs=1e-15)
-            assert maj[i] == pytest.approx(error_majorant(float(x), H), abs=1e-15)
+    err = abs(psi_frac_many([x]) - psi_approx_many([x], H))
+    assert err[0] <= error_majorant_many([x], H)[0] + 1e-12
 
 
 def test_near_integer_arguments():
     # the bound survives right at the sawtooth jump
-    for x in (0.0, 1.0, -1.0, 2.0):
-        for eps in (0.0, 1e-9, -1e-9):
-            t = x + eps
-            err = abs(psi_frac(t) - psi_approx(t, 30))
-            assert err <= error_majorant(t, 30) + 1e-12
+    ts = np.add.outer([0.0, 1.0, -1.0, 2.0], [0.0, 1e-9, -1e-9]).ravel()
+    err = np.abs(psi_frac_many(ts) - psi_approx_many(ts, 30))
+    assert np.all(err <= error_majorant_many(ts, 30) + 1e-12)
 
 
 def test_degree_improves_midpoint_error():
-    errs = [abs(psi_frac_many(np.array([0.23]))[0] - psi_approx(0.23, H))
+    errs = [abs(psi_frac_many([0.23])[0] - psi_approx_many([0.23], H)[0])
             for H in (1, 4, 16, 64)]
     assert errs[-1] < errs[0]
