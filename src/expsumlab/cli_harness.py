@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
 
 from . import __version__
 from . import diophantine_count as dc
@@ -29,15 +28,6 @@ from .reports import ReportRow, rows_to_csv, rows_to_json
 ENV_PREFIX = "EXPSUMLAB_"
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    format: str = "csv"
-    timing: bool = False
-    eps: float = 0.1
-    baseline: str | None = None
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -47,10 +37,18 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_COERCE = {
-    "seed": int, "format": str, "timing": _parse_bool,
-    "eps": float, "baseline": str,
+# every setting a --config file or an EXPSUMLAB_* variable may give:
+# name -> (coerce from text, default)
+SETTINGS = {
+    "seed": (int, 0),
+    "format": (str, "csv"),
+    "timing": (_parse_bool, False),
+    "eps": (float, 0.1),
+    "baseline": (str, None),
 }
+# what the config_hash leaves out: how rows are printed, and where the
+# settings came from rather than what they are
+_UNHASHED = ("format", "timing", "config", "run")
 
 
 def load_config_file(path: str) -> dict:
@@ -65,64 +63,66 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _COERCE:
+            if key not in SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _COERCE[key](val.strip())
+            try:
+                out[key] = SETTINGS[key][0](val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
-def env_overrides(environ=None) -> dict:
-    environ = os.environ if environ is None else environ
+def env_overrides() -> dict:
     out = {}
-    for key, coerce in _COERCE.items():
-        raw = environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            out[key] = coerce(raw)
+    for key, (coerce, _) in SETTINGS.items():
+        name = ENV_PREFIX + key.upper()
+        if name in os.environ:
+            try:
+                out[key] = coerce(os.environ[name])
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
     return out
 
 
-def resolve_config(args, environ=None) -> RunConfig:
-    cfg = RunConfig()
-    layers = []
-    if args.config:
-        layers.append(load_config_file(args.config))
-    layers.append(env_overrides(environ))
-    layers.append({f.name: getattr(args, f.name) for f in fields(RunConfig)
-                   if getattr(args, f.name, None) is not None})
-    for layer in layers:
-        for key, val in layer.items():
-            setattr(cfg, key, val)
-    if cfg.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {cfg.format!r}")
-    if not 0 < cfg.eps < math.inf:
-        raise ValueError(f"eps must be a finite number > 0, got {cfg.eps!r}")
-    return cfg
+def resolve_settings(args) -> None:
+    """Write each setting onto args: the flag, else EXPSUMLAB_*, else the
+    --config file, else the default."""
+    from_file = load_config_file(args.config) if args.config else {}
+    from_env = env_overrides()
+    for key, (_, default) in SETTINGS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, from_env.get(key, from_file.get(key, default)))
+    if args.format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {args.format!r}")
+    if not 0 < args.eps < math.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {args.eps!r}")
 
 
-def _config_digest(cfg: RunConfig, extra: dict) -> str:
-    # timing does not influence any computed value, so it stays out of the
-    # digest and runs differing only in it hash identically
-    payload = {"seed": cfg.seed, "eps": cfg.eps}
-    payload.update(extra)
+def _config_digest(args) -> str:
+    """Every resolved setting and option but _UNHASHED; a baseline file
+    enters by the sha256 of its bytes, not by its path."""
+    payload = {k: v for k, v in vars(args).items() if k not in _UNHASHED}
+    if args.baseline:
+        with open(args.baseline, "rb") as fh:
+            payload["baseline"] = hashlib.sha256(fh.read()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _emit(rows, cfg: RunConfig, suite_name: str, extra: dict,
-          out=None) -> int:
+def _emit(rows, args) -> int:
+    suite_name = "fraks" if args.command == "frak-s" else args.command
     if not rows:
         raise ValueError(f"the {suite_name} report has no rows, so nothing was checked")
-    out = sys.stdout if out is None else out
     meta = {
         "tool": "expsumlab",
         "version": __version__,
         "suite": suite_name,
-        "config_hash": _config_digest(cfg, extra),
+        "config_hash": _config_digest(args),
     }
-    if cfg.format == "json":
-        out.write(rows_to_json(rows, meta))
+    if args.format == "json":
+        sys.stdout.write(rows_to_json(rows, meta))
     else:
-        out.write(rows_to_csv(rows))
+        sys.stdout.write(rows_to_csv(rows))
     failures = [r for r in rows if r.verdict != "pass"]
     if failures:
         first = failures[0]
@@ -133,97 +133,82 @@ def _emit(rows, cfg: RunConfig, suite_name: str, extra: dict,
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each returns its report's rows
 
 
-def _suite_rows(cfg: RunConfig, suite, **kwargs) -> list:
+def _suite_rows(args, suite, **kwargs) -> list:
     """Rows of one suite call.  Under --timing every row gets the call's wall
     time divided by its row count, not a time of its own."""
     t0 = time.perf_counter()
     rows = suite(**kwargs).rows
-    if cfg.timing:
+    if args.timing:
         wall = time.perf_counter() - t0
         for r in rows:
             r.wall_time = wall / len(rows)
     return rows
 
 
-def _run_sieve(args, cfg):
-    rows = _suite_rows(cfg, suites.sieve_suite, seed=cfg.seed, limit=args.limit,
+def _run_sieve(args):
+    return _suite_rows(args, suites.sieve_suite, seed=args.seed, limit=args.limit,
                        window=args.window)
-    return _emit(rows, cfg, "sieve", {"limit": args.limit})
 
 
-def _run_psi(args, cfg):
-    rows = _suite_rows(cfg, suites.vaaler_suite, seed=cfg.seed, count=args.count)
-    return _emit(rows, cfg, "psi", {"count": args.count})
+def _run_psi(args):
+    return _suite_rows(args, suites.vaaler_suite, seed=args.seed, count=args.count)
 
 
-def _run_dls(args, cfg):
-    rows = (_suite_rows(cfg, suites.lemma21_suite, seed=cfg.seed, count=args.count)
-            + _suite_rows(cfg, suites.dls_suite, seed=cfg.seed, count=args.count))
-    return _emit(rows, cfg, "dls", {"count": args.count})
+def _run_dls(args):
+    return (_suite_rows(args, suites.lemma21_suite, seed=args.seed, count=args.count)
+            + _suite_rows(args, suites.dls_suite, seed=args.seed, count=args.count))
 
 
-def _run_expsum(args, cfg):
+def _run_expsum(args):
     baseline = None
-    if cfg.baseline:
-        with open(cfg.baseline) as fh:
+    if args.baseline:
+        with open(args.baseline) as fh:
             baseline = json.load(fh)
-    rows = _suite_rows(cfg, suites.expsum_regression_suite, count=args.count,
+    return _suite_rows(args, suites.expsum_regression_suite, count=args.count,
                        baseline=baseline)
-    return _emit(rows, cfg, "expsum", {"count": args.count})
 
 
-def _dio_single(args, cfg):
+def _run_dio(args):
+    if not args.kind:
+        return _suite_rows(args, suites.dio_suite, seed=args.seed)
     kind = args.kind
     params = {k: getattr(args, k) for k in dc.KIND_PARAMS[kind]}
     spec = dc.default_spec(kind, args.N, beta=args.beta, delta=args.delta)
-    rep = dc.dio_report(kind, eps=cfg.eps, mode=args.mode, spec=spec, **params)
-    row = ReportRow("dio", kind, rep.params, rep.count, rep.bound, seed=cfg.seed)
-    return _emit([row], cfg, "dio", params)
+    rep = dc.dio_report(kind, eps=args.eps, mode=args.mode, spec=spec, **params)
+    return [ReportRow("dio", kind, rep.params, rep.count, rep.bound, seed=args.seed)]
 
 
-def _run_dio(args, cfg):
-    if args.kind:
-        return _dio_single(args, cfg)
-    return _emit(_suite_rows(cfg, suites.dio_suite, seed=cfg.seed), cfg, "dio", {})
-
-
-def _run_vaughan(args, cfg):
+def _run_vaughan(args):
     d_values = tuple(int(v) for v in args.d_list.split(","))
-    rows = _suite_rows(cfg, suites.vaughan_suite, seed=cfg.seed, d_values=d_values)
-    return _emit(rows, cfg, "vaughan", {"d_values": list(d_values)})
+    return _suite_rows(args, suites.vaughan_suite, seed=args.seed, d_values=d_values)
 
 
-def _run_msum(args, cfg):
-    if args.x is not None:
-        if args.method == "direct":
-            value = fm.s_lambda_direct(args.x)
-        else:
-            value = fm.s_lambda_blocked(args.x)
-        row = ReportRow("msum", f"{args.method}_x{args.x}",
-                        {"x": args.x, "method": args.method}, value, seed=cfg.seed)
-        return _emit([row], cfg, "msum", {"x": args.x, "method": args.method})
-    return _emit(_suite_rows(cfg, suites.msum_suite, seed=cfg.seed), cfg, "msum", {})
+def _run_msum(args):
+    if args.x is None:
+        return _suite_rows(args, suites.msum_suite, seed=args.seed)
+    if args.method == "direct":
+        value = fm.s_lambda_direct(args.x)
+    else:
+        value = fm.s_lambda_blocked(args.x)
+    return [ReportRow("msum", f"{args.method}_x{args.x}",
+                      {"x": args.x, "method": args.method}, value, seed=args.seed)]
 
 
-def _run_fraks(args, cfg):
+def _run_fraks(args):
     if args.check_decomposition:
-        rows = _suite_rows(cfg, suites.fraks_suite, x=args.x, d_values=(args.d,),
+        return _suite_rows(args, suites.fraks_suite, x=args.x, d_values=(args.d,),
                            delta=args.delta)
-        return _emit(rows, cfg, "fraks", {"x": args.x, "D": args.d})
     value = fm.frak_s(args.x, args.d, args.delta)
-    row = ReportRow("fraks", f"D{args.d}",
-                    {"x": args.x, "D": args.d, "delta": args.delta}, value)
-    return _emit([row], cfg, "fraks", {"x": args.x, "D": args.d})
+    return [ReportRow("fraks", f"D{args.d}",
+                      {"x": args.x, "D": args.d, "delta": args.delta}, value)]
 
 
-def _run_fit(args, cfg):
-    rows = _suite_rows(cfg, suites.fit_suite, lo=args.lo, hi=args.hi,
+def _run_fit(args):
+    return _suite_rows(args, suites.fit_suite, lo=args.lo, hi=args.hi,
                        points=args.points, slope_cap=args.slope_cap)
-    return _emit(rows, cfg, "fit", {"lo": args.lo, "hi": args.hi,
-                                    "points": args.points})
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +234,7 @@ _EXPCALC_FLAGS = {"substitute": ("terms",), "balance": ("terms",),
                   "dominate": ("a", "b", "range")}
 
 
-def _run_expcalc(args, cfg):
+def _run_expcalc(args):
     for flag in _EXPCALC_FLAGS[args.action]:
         if getattr(args, flag) is None:
             raise ValueError(f"expcalc {args.action} needs --{flag}")
@@ -374,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--base", default="x")
     s.add_argument("--assign", action="append",
                    help="VAR=MONOMIAL substitution, repeatable")
-    s.set_defaults(run=_run_expcalc)
     return p
 
 
@@ -382,8 +366,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return args.run(args, cfg)
+        resolve_settings(args)
+        if args.command == "expcalc":
+            # prints expressions and its own verdict, not a report
+            return _run_expcalc(args)
+        return _emit(args.run(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, require_integer
 
 DEFAULT_TUPLE_BUDGET = 10 ** 9
 BOUNDARY_BAND = 1e-12
@@ -56,10 +56,10 @@ class PerturbationSpec:
     kind: str = "mu"
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be a finite number > 0, got {self.beta!r}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be a finite number >= 0, got {self.delta!r}")
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if self.kind not in ("mu", "nu"):
@@ -151,8 +151,9 @@ def _scan_ms(spec: PerturbationSpec, mode: str) -> np.ndarray:
 
 def _regime_warn(spec: PerturbationSpec, N: int, gamma: float, X: float) -> bool:
     """The counting bounds for B2/B3 are stated for X <= U^-1 N^gamma; outside
-    that window the count is still reported but nothing is asserted."""
-    if spec.delta > 0 and X > float(N) ** gamma / spec.U:
+    that window the count is still reported but nothing is asserted.  A U
+    that underflows to 0 leaves the window unbounded."""
+    if spec.U > 0 and X > float(N) ** gamma / spec.U:
         # stacklevel 4 names dio_report's caller: _regime_warn < _extrema < dio_report
         warnings.warn(
             f"X = {X:.6g} outside supported window X <= U^-1 N^gamma "
@@ -181,10 +182,10 @@ def _extrema(kind: str, mode: str, spec: PerturbationSpec | None,
     single values, so hi = lo.  Inputs and the tuple budget are checked
     before any table is built."""
     X = params["X"]
+    if not X > 0:
+        raise ValueError("need X > 0")
     if kind == "B1":
         H, M, alpha, beta = params["H"], params["M"], params["alpha"], params["beta"]
-        if H < 1 or M < 1 or not X > 0:
-            raise ValueError("need H, M >= 1 and X > 0")
         _check_tuples("(HM)^2", (H * M) ** 2)
         h = np.arange(H + 1, 2 * H + 1, dtype=np.float64) ** alpha
         m = np.arange(M + 1, 2 * M + 1, dtype=np.float64) ** beta
@@ -192,16 +193,14 @@ def _extrema(kind: str, mode: str, spec: PerturbationSpec | None,
         return vals, vals, True
     N = params["N"]
     if kind == "B0":
-        if N < 1 or not X > 0:
-            raise ValueError("need N >= 1 and X > 0")
         _check_tuples("N^4", N ** 4)
         beta = params["beta"]
         n = np.arange(N + 1, 2 * N + 1, dtype=np.float64) ** beta / float(N) ** beta
         sums = (n[:, np.newaxis] + n[np.newaxis, :]).ravel()
         return sums, sums, True
     gamma = params["gamma"]
-    if N < 1 or not X > 0 or not gamma > 0:
-        raise ValueError("need N >= 1, gamma > 0 and X > 0")
+    if not gamma > 0:
+        raise ValueError("need gamma > 0")
     tabulate, budget, power = _MEMBER_TABLES[kind]
     _check_tuples(budget, N ** power)
     in_regime = _regime_warn(spec, N, gamma, X)
@@ -251,9 +250,10 @@ def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
     """Count + bound + boundary tally in one record: the one way to count.
 
     params are exactly KIND_PARAMS[kind]; B2 and B3 also need a spec, B0
-    and B1 take none.  A non-finite exponent, X, eps or perturbation delta
-    is refused: every comparison with NaN is false, so the count would read
-    0 and pass."""
+    and B1 take none.  A block size H, M or N must be an integer >= 1.  A
+    non-finite exponent, X or eps is refused (the spec refuses its own):
+    every comparison with NaN is false, so the count would read 0 and
+    pass."""
     if kind not in KIND_PARAMS:
         raise ValueError(f"unknown kind {kind!r}; use one of {', '.join(KIND_PARAMS)}")
     missing = [k for k in KIND_PARAMS[kind] if k not in params]
@@ -269,10 +269,11 @@ def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
         raise ValueError(f"{kind} takes no perturbation spec")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; use 'endpoint' or 'scan'")
+    for name in ("H", "M", "N"):
+        if name in params:
+            params[name] = require_integer(name, params[name], 1)
     checked = {k: params[k] for k in ("alpha", "beta", "gamma", "X") if k in params}
     checked["eps"] = eps
-    if spec is not None:
-        checked["delta"] = spec.delta
     for name, value in checked.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")

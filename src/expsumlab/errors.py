@@ -4,6 +4,8 @@ Every guard that refuses work names the violated budget or inequality in its
 message, so a failing run can be diagnosed from the report alone.
 """
 
+import math
+
 import numpy as np
 
 COEFF_TOL = 1e-9  # slack on the unit-modulus bound of a coefficient
@@ -16,6 +18,17 @@ def check_peak(values, bound: float, what: str) -> None:
     peak = float(np.max(np.abs(values))) if np.size(values) else 0.0
     if not peak <= bound:
         raise ValueError(f"{what}: peak modulus {peak:.6g} is not within {bound:.6g}")
+
+
+def require_integer(name: str, value, least: int) -> int:
+    """value as an int, refused with ValueError unless it is an integer
+    >= least.  A non-finite float is refused first: int() would raise
+    OverflowError at inf and a message naming neither value at nan."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value != int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class CapacityError(ValueError):

@@ -229,7 +229,7 @@ class MinimaxResult:
     boundary: bool
 
 
-def minimax_balance(terms: BoundExpr, lo=None, hi=None, *, var: str = "E",
+def minimax_balance(terms: BoundExpr, lo, hi, *, var: str = "E",
                     base: str = "x") -> MinimaxResult:
     """Minimize over e in [lo, hi] the max of the terms' x-exponents with
     var = base^e.
@@ -242,32 +242,18 @@ def minimax_balance(terms: BoundExpr, lo=None, hi=None, *, var: str = "E",
     if not isinstance(terms, BoundExpr):
         terms = BoundExpr.of(*terms)
     forms = [affine_in(t, var, base) for t in terms.terms]
-    lo = Fraction(lo) if lo is not None else None
-    hi = Fraction(hi) if hi is not None else None
-    if lo is not None and hi is not None and lo > hi:
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
         raise ValueError("empty range")
-    if lo is None and all(f.slope > 0 for f in forms):
-        raise ValueError("unbounded below: every term decreases as e -> -inf")
-    if hi is None and all(f.slope < 0 for f in forms):
-        raise ValueError("unbounded below: every term decreases as e -> +inf")
 
-    candidates: set[Fraction] = set()
-    if lo is not None:
-        candidates.add(lo)
-    if hi is not None:
-        candidates.add(hi)
+    candidates = {lo, hi}
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             if forms[i].slope == forms[j].slope:
                 continue
             e = (forms[j].const - forms[i].const) / (forms[i].slope - forms[j].slope)
-            if (lo is None or e >= lo) and (hi is None or e <= hi):
+            if lo <= e <= hi:
                 candidates.add(e)
-    if not candidates:
-        # every slope equal; envelope is a single affine form
-        if forms[0].slope != 0:
-            raise ValueError("unbounded: common nonzero slope with open range")
-        candidates.add(Fraction(0))
 
     best_e = None
     best_v = None
@@ -362,17 +348,15 @@ class ExponentPair:
             raise ValueError("need 0 <= kappa <= 1/2 <= lambda <= 1")
 
 
-def type_one_bound(pair: ExponentPair, include_l_term: bool = False) -> BoundExpr:
-    """Bound shape x^k D^{(-5k+2l+1)/3} L^k + x^{-1} D^2 for the smooth-variable
-    sums, optionally with the D L^{-1} sharp-cutoff remainder term."""
+def type_one_bound(pair: ExponentPair) -> BoundExpr:
+    """Bound shape D L^{-1} + x^k D^{(-5k+2l+1)/3} L^k + x^{-1} D^2 for the
+    smooth-variable sums, the first term the sharp-cutoff remainder."""
     k, lam = pair.kappa, pair.lam
-    terms = [
+    return BoundExpr.of(
+        Monomial.of(D=1, L=-1),
         Monomial.of(x=k, D=(-5 * k + 2 * lam + 1) / 3, L=k),
         Monomial.of(x=-1, D=2),
-    ]
-    if include_l_term:
-        terms.insert(0, Monomial.of(D=1, L=-1))
-    return BoundExpr.of(*terms)
+    )
 
 
 @dataclass(frozen=True)
@@ -388,7 +372,7 @@ def optimize_type_one(pair: ExponentPair) -> TypeOneResult:
     For k > 0 this yields (x^{3k} D^{-2k+2l+1})^{1/(3k+3)} plus the L = 1
     values of the other terms; for k = 0 the optimum runs off to L = inf and
     the boundary flag is set."""
-    full = type_one_bound(pair, include_l_term=True)
+    full = type_one_bound(pair)
     dl_term, l_term, tail = full.terms
     balanced = balance_pair(dl_term, l_term, var="L")
     at_one = l_term.substitute("L", Monomial.one())

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .arith_core import chunked_tree_sum
-from .errors import COEFF_TOL, CapacityError, RejectedInstanceError, check_peak
+from .errors import COEFF_TOL, CapacityError, RejectedInstanceError, check_peak, require_integer
 from .floor_mangoldt import QUOTIENT_GUARD
 from .seeding import DetRand, pair_uniform
 from .vaaler_psi import vaaler_phi_many
@@ -66,8 +66,8 @@ class ExpSumInstance:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if min(self.H, self.M, self.N) < 1:
-            raise ValueError("H, M, N must be positive integers")
+        for name in ("H", "M", "N"):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name), 1))
         if not self.X > 1:
             raise ValueError("X must exceed 1")
         if min(self.alpha, self.beta, self.gamma) <= 0:

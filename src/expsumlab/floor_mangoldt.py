@@ -25,7 +25,7 @@ from .arith_core import (
     segment_sieve,
     sieve_mangoldt,
 )
-from .errors import CapacityError, DegenerateFitError
+from .errors import CapacityError, DegenerateFitError, require_integer
 
 DIRECT_LIMIT = 10 ** 7
 BLOCKED_LIMIT = 10 ** 12
@@ -41,17 +41,6 @@ QUOTIENT_GUARD = 2.0 ** 46
 # chunks, so a piece's partial is a whole subtree of its segment's chunk tree
 _PIECE = 1 << 20
 DEFAULT_BEST_T = 10 ** 8
-
-
-def require_integer(name: str, value, least: int) -> int:
-    """value as an int, refused with ValueError unless it is an integer
-    >= least.  A non-finite float is refused first: int() would raise
-    OverflowError at inf and a message naming neither value at nan."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if value != int(value) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _check_x(x) -> int:

@@ -47,7 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from .arith_core import integer_kth_root, psi_frac_many, segment_sieve, sieve_mangoldt, sieve_mobius
-from .floor_mangoldt import check_peak_quotient, check_window, require_integer
+from .errors import require_integer
+from .floor_mangoldt import check_peak_quotient, check_window
 
 
 # terms evaluated at once by _row_sum: the chunk size of chunked_tree_sum

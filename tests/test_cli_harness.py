@@ -1,21 +1,21 @@
+import argparse
 import json
 import math
+import os
 
 import pytest
 
 from expsumlab.cli_harness import (
     ENV_PREFIX,
+    _config_digest,
+    build_parser,
     env_overrides,
     load_config_file,
     main,
+    resolve_settings,
 )
 from expsumlab.diophantine_count import KIND_PARAMS
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    for key in ("SEED", "FORMAT", "TIMING", "EPS", "BASELINE"):
-        monkeypatch.delenv(ENV_PREFIX + key, raising=False)
+from expsumlab.suites import load_baselines
 
 
 def _run(capsys, argv):
@@ -146,6 +146,14 @@ def test_runtime_error_exits_one(capsys):
      "zero denominator in '1/0'"),
     (["expcalc", "dominate", "--a", "D", "--b", "D", "--range", "0:1/0"],
      "zero denominator in '1/0'"),
+    (["dio", "--kind", "B3", "--N", "8", "--X", "8", "--beta", "inf"],
+     "beta must be a finite number"),
+    (["dio", "--kind", "B2", "--N", "8", "--X", "8", "--beta", "inf"],
+     "beta must be a finite number"),
+    (["--config", "BADSEED", "psi", "--count", "10"],
+     "seed.cfg:1: seed: invalid literal for int()"),
+    (["EXPSUMLAB_EPS=x", "psi", "--count", "10"],
+     "EXPSUMLAB_EPS: could not convert string to float: 'x'"),
 ], ids=["msum-budget", "expsum-count30", "expsum-partial-baseline",
         "expsum-list-baseline", "expsum-text-entry", "frak-s-precision",
         "frak-s-nan", "frak-s-delta-nan", "sieve-window-wide",
@@ -156,7 +164,8 @@ def test_runtime_error_exits_one(capsys):
         "dls-count0", "dls-count-neg", "dio-alpha-nan", "dio-delta-nan",
         "dio-beta-nan", "dio-x-inf", "substitute-zero-denominator",
         "substitute-braced-zero-denominator", "assign-zero-denominator",
-        "balance-range-zero-denominator", "dominate-range-zero-denominator"])
+        "balance-range-zero-denominator", "dominate-range-zero-denominator",
+        "dio-b3-beta-inf", "dio-b2-beta-inf", "config-bad-seed", "env-bad-eps"])
 def test_refused_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, needle):
     from expsumlab.suites import load_baselines
 
@@ -167,10 +176,12 @@ def test_refused_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, ne
     text_entry = load_baselines()
     text_entry["expsum_thm1"]["rand_03"] = "0.5"
     files = {"PARTIAL": path, "NOTOBJECT": tmp_path / "list.json",
-             "TEXTENTRY": tmp_path / "text.json", "NANEPS": tmp_path / "eps.cfg"}
+             "TEXTENTRY": tmp_path / "text.json", "NANEPS": tmp_path / "eps.cfg",
+             "BADSEED": tmp_path / "seed.cfg"}
     files["NOTOBJECT"].write_text("[1, 2]")
     files["TEXTENTRY"].write_text(json.dumps(text_entry))
     files["NANEPS"].write_text("eps = nan\n")
+    files["BADSEED"].write_text("seed = abc\n")
     # leading NAME=value words set the environment, as on a shell line
     argv = list(argv)
     while argv[0].startswith(ENV_PREFIX):
@@ -182,6 +193,15 @@ def test_refused_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, ne
     assert out == ""
     assert err.startswith("error:") and needle in err
     assert len(err.splitlines()) == 1
+
+
+def test_dio_underflowing_perturbation_counts(capsys):
+    # delta * M^-beta underflows to 0 at beta = 1e308: the supported window
+    # is unbounded, and the count is reported
+    rc, out, err = _run(capsys, ["dio", "--kind", "B3", "--N", "8", "--X", "8",
+                                 "--beta", "1e308"])
+    assert rc == 0 and err == ""
+    assert len(out.splitlines()) == 2 and out.splitlines()[1].startswith("dio,B3,")
 
 
 @pytest.mark.parametrize("via", ["flag", "file"])
@@ -322,3 +342,106 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# One cheap run of every report subcommand, and for each of its options
+# (by argparse dest) flags that change it; argparse keeps the last value of
+# a repeated flag.  The "" entry holds the top-level options, run on expsum.
+HASH_RUNS = {
+    "": (["--baseline", "BASE"],
+         {"seed": ["--seed", "1"], "eps": ["--eps", "0.2"],
+          "baseline": ["--baseline", "INFLATED"]}),
+    "sieve": (["--limit", "1000", "--window", "100"],
+              {"limit": ["--limit", "1001"], "window": ["--window", "101"]}),
+    "psi": (["--count", "40"], {"count": ["--count", "41"]}),
+    "dls": (["--count", "25"], {"count": ["--count", "26"]}),
+    "expsum": (["--count", "2"], {"count": ["--count", "3"]}),
+    "dio": (["--kind", "B3", "--N", "4", "--X", "8"],
+            {"kind": ["--kind", "B2"], "N": ["--N", "5"], "H": ["--H", "3"],
+             "M": ["--M", "3"], "alpha": ["--alpha", "2"], "beta": ["--beta", "2"],
+             "gamma": ["--gamma", "2"], "X": ["--X", "9"], "delta": ["--delta", "0.4"],
+             "mode": ["--mode", "scan"]}),
+    "vaughan": (["--d-list", "101"], {"d_list": ["--d-list", "102"]}),
+    "msum": (["--x", "10", "--method", "direct"],
+             {"x": ["--x", "11"], "method": ["--method", "blocked"]}),
+    "frak-s": (["--x", "12345.6", "--d", "1000", "--delta", "0.5"],
+               {"x": ["--x", "12345.7"], "d": ["--d", "999"], "delta": ["--delta", "0.7"],
+                "check_decomposition": ["--check-decomposition"]}),
+    "fit": (["--lo", "10000", "--hi", "1000000", "--points", "6", "--slope-cap", "0.7"],
+            {"lo": ["--lo", "20000"], "hi": ["--hi", "2000000"], "points": ["--points", "7"],
+             "slope_cap": ["--slope-cap", "0.8"]}),
+}
+# settings that change how rows are printed or where a value came from,
+# not which rows are computed
+UNHASHED = {"format", "timing", "config"}
+
+
+def test_hash_table_covers_every_option():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    own = {a.dest for a in parser._actions} - {"help", "version", "command"}
+    assert set(HASH_RUNS[""][1]) | UNHASHED == own
+    reports = set(sub.choices) - {"expcalc"}  # prints expressions, not a report
+    assert set(HASH_RUNS) - {""} == reports
+    for name in reports:
+        assert set(HASH_RUNS[name][1]) == {a.dest for a in sub.choices[name]._actions} - {"help"}
+
+
+def _argv(name, extra=()):
+    """The base run of name, with extra flags after its own."""
+    base, _ = HASH_RUNS[name]
+    if name == "":
+        return [*base, *extra, "expsum", "--count", "2"]
+    return [name, *base, *extra]
+
+
+def _hash(capsys, tmp_path, argv):
+    files = {"BASE": tmp_path / "base.json", "COPY": tmp_path / "copy.json",
+             "INFLATED": tmp_path / "inflated.json"}
+    base = load_baselines()
+    files["BASE"].write_text(json.dumps(base))
+    files["COPY"].write_text(json.dumps(base))
+    base["expsum_thm1"] = {k: 2 * v for k, v in base["expsum_thm1"].items()}
+    files["INFLATED"].write_text(json.dumps(base))
+    argv = [str(files.get(a, a)) for a in ["--format", "json", *argv]]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    return json.loads(out)["meta"]["config_hash"]
+
+
+@pytest.mark.parametrize("name, dest", [(n, d) for n, (_, alts) in HASH_RUNS.items()
+                                        for d in alts])
+def test_config_hash_covers_option(capsys, tmp_path, name, dest):
+    # two runs that differ in one option never share a hash
+    alt = HASH_RUNS[name][1][dest]
+    assert _hash(capsys, tmp_path, _argv(name)) != _hash(capsys, tmp_path, _argv(name, alt))
+
+
+@pytest.mark.parametrize("name", list(HASH_RUNS))
+def test_config_hash_ignores_print_settings(capsys, tmp_path, monkeypatch, name):
+    h = _hash(capsys, tmp_path, _argv(name))
+    assert _hash(capsys, tmp_path, ["--timing", *_argv(name)]) == h
+    # a value from EXPSUMLAB_* or --config hashes as the same value given by flag
+    monkeypatch.setenv(ENV_PREFIX + "SEED", "0")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1\n")
+    assert _hash(capsys, tmp_path, ["--config", str(cfg), *_argv(name)]) == h
+    if name == "":
+        # a baseline enters by its bytes, not its path
+        assert _hash(capsys, tmp_path, _argv(name, ["--baseline", "COPY"])) == h
+
+
+def test_config_hash_ignores_format():
+    # CSV carries no hash, so compare the digest the JSON form would print
+    digests = set()
+    for fmt in ("csv", "json"):
+        args = build_parser().parse_args(["--format", fmt, "psi", "--count", "40"])
+        resolve_settings(args)
+        digests.add(_config_digest(args))
+    assert len(digests) == 1
+
+
+def test_shell_settings_are_cleared():
+    # tests/conftest.py removes every EXPSUMLAB_* variable of the caller's
+    # shell, so no test sees them
+    assert not [name for name in os.environ if name.startswith(ENV_PREFIX)]

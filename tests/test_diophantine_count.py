@@ -127,8 +127,17 @@ def test_mode_validation():
     ("B0", {"N": 2, "beta": 1.0, "X": 4.0, "mode": "grid"}, "unknown mode 'grid'"),
     ("B1", {"H": 2, "M": 2, "alpha": 1.0, "beta": 1.0, "X": 4.0, "mode": "grid"},
      "unknown mode 'grid'"),
+    # a block size is an integer: N = 2.5 once counted 19 quadruples
+    ("B0", {"N": 2.5, "beta": 1.0, "X": 4.0}, "N must be an integer >= 1, got 2.5"),
+    ("B1", {"H": 1.5, "M": 2, "alpha": 1.0, "beta": 1.0, "X": 4.0},
+     "H must be an integer >= 1, got 1.5"),
+    ("B1", {"H": 2, "M": 2.5, "alpha": 1.0, "beta": 1.0, "X": 4.0},
+     "M must be an integer >= 1, got 2.5"),
+    ("B3", {"N": 2.5, "gamma": 1.0, "X": 4.0, "spec": _spec()},
+     "N must be an integer >= 1, got 2.5"),
 ], ids=["unknown-kind", "missing-beta", "missing-M-alpha", "unexpected-gamma",
-        "unexpected-M", "spec-for-B0", "eps-nan", "mode-for-B0", "mode-for-B1"])
+        "unexpected-M", "spec-for-B0", "eps-nan", "mode-for-B0", "mode-for-B1",
+        "B0-N-fraction", "B1-H-fraction", "B1-M-fraction", "B3-N-fraction"])
 def test_dio_report_refuses_bad_arguments(kind, kwargs, needle):
     # every refusal is a ValueError that names the fault
     with pytest.raises(ValueError, match=needle):
@@ -166,6 +175,11 @@ def test_spec_validation():
         PerturbationSpec(beta=1.0, delta=0.5, M=4, kind="xx")
     with pytest.raises(ValueError):
         PerturbationSpec(beta=1.0, delta=2.0, M=1)  # U = 2 > 1
+    # a non-finite field is refused by name; beta = inf made U = 0 and the
+    # regime test divided by it
+    for field in ("beta", "delta"):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            PerturbationSpec(**{"beta": 1.0, "delta": 0.1, "M": 4, field: math.inf})
     spec = PerturbationSpec(beta=2.0, delta=1.0, M=2)
     assert spec.U == pytest.approx(0.25)
 

@@ -150,6 +150,19 @@ def test_instance_validation():
             ExpSumInstance(**{**good, **bad})
 
 
+@pytest.mark.parametrize("field", ["H", "M", "N"])
+def test_instance_refuses_non_integer_block(field):
+    # M = 2.5 once built an instance whose bound was a number and whose sum
+    # died in range(); an integral float is kept as an int
+    good = dict(H=1, M=1, N=1, X=2.0, alpha=1.0, beta=1.0, gamma=1.0,
+                coeff_a=constant_coeff_a(), coeff_b=constant_coeff_b())
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got 2.5"):
+        ExpSumInstance(**{**good, field: 2.5})
+    inst = ExpSumInstance(**{**good, field: 2.0, "mn_clip": (1, 100)})
+    assert type(getattr(inst, field)) is int
+    assert eval_exp_sum(inst) == eval_exp_sum(ExpSumInstance(**{**good, field: 2, "mn_clip": (1, 100)}))
+
+
 @pytest.mark.parametrize("field", ["X", "alpha", "beta", "gamma", "delta", "K", "epsilon"])
 def test_instance_refuses_non_finite(field):
     # a NaN slips past every order comparison, and an infinite exponent or

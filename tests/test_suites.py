@@ -78,9 +78,7 @@ def test_rows_byte_stable_across_reruns():
     assert c != a
 
 
-def test_timing_off_keeps_rows_deterministic(capsys, monkeypatch):
-    monkeypatch.delenv("EXPSUMLAB_TIMING", raising=False)
-
+def test_timing_off_keeps_rows_deterministic(capsys):
     def run(*flags):
         assert main([*flags, "vaughan", "--d-list", "101"]) == 0
         return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
