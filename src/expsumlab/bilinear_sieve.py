@@ -244,16 +244,14 @@ def max_safe_delta(M: int, N: int, X: float, alpha: float, beta: float, gamma: f
     return K * M ** beta * N ** gamma / (2.0 ** (3.0 + alpha) * X)
 
 
-def scenario_points(H: int, M: int, X: float, alpha: float, beta: float,
-                    coeffs=None) -> PointSet:
+def scenario_points(H: int, M: int, X: float, alpha: float, beta: float) -> PointSet:
     """Points y_{h,m} = X (h/H)^alpha (M/m)^beta over (H,2H] x (M,2M],
-    flattened in (h, m) order; |y| <= 2^alpha X."""
+    flattened in (h, m) order, each with coefficient 1; |y| <= 2^alpha X."""
     h = np.arange(H + 1, 2 * H + 1, dtype=np.float64)
     m = np.arange(M + 1, 2 * M + 1, dtype=np.float64)
     y = X * np.outer((h / H) ** alpha, (M / m) ** beta).ravel()
-    if coeffs is None:
-        coeffs = np.ones(y.shape, dtype=np.complex128)
-    return PointSet(points=y, coeffs=coeffs, Y=(2.0 ** alpha) * X)
+    return PointSet(points=y, coeffs=np.ones(y.shape, dtype=np.complex128),
+                    Y=(2.0 ** alpha) * X)
 
 
 def pair_difference_family(N: int, gamma: float, spec, points_m: np.ndarray) -> FunctionFamily:

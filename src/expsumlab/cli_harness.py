@@ -49,6 +49,14 @@ SETTINGS = {
 # what the config_hash leaves out: how rows are printed, and where the
 # settings came from rather than what they are
 _UNHASHED = ("format", "timing", "config", "run")
+# options that only some runs of a subcommand read, with their defaults.
+# They parse to None, so that _refuse_unread can refuse one given to a run
+# that does not read it before it fills in the defaults.
+_SOMETIMES_READ = {
+    "dio": {"N": 4, "H": 2, "M": 2, "alpha": 1.0, "beta": 1.0, "gamma": 1.0,
+            "X": 100.0, "delta": None, "mode": "endpoint"},
+    "msum": {"method": "blocked"},
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -148,6 +156,19 @@ def _suite_rows(args, suite, **kwargs) -> list:
     return rows
 
 
+def _refuse_unread(args, reads, run: str) -> None:
+    """Refuse the options of _SOMETIMES_READ[args.command] that were given
+    but that this run does not read; then fill in the defaults of the rest."""
+    options = _SOMETIMES_READ[args.command]
+    unread = [f"--{dest}" for dest in options
+              if getattr(args, dest) is not None and dest not in reads]
+    if unread:
+        raise ValueError(f"{run} does not read {', '.join(unread)}")
+    for dest, default in options.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def _run_sieve(args):
     return _suite_rows(args, suites.sieve_suite, seed=args.seed, limit=args.limit,
                        window=args.window)
@@ -173,8 +194,12 @@ def _run_expsum(args):
 
 def _run_dio(args):
     if not args.kind:
+        _refuse_unread(args, (), "dio without --kind")
         return _suite_rows(args, suites.dio_suite, seed=args.seed)
     kind = args.kind
+    # a B2 or B3 count also reads its perturbation spec and scan mode
+    spec_reads = ("beta", "delta", "mode") if kind in dc.DEFAULT_DELTAS else ()
+    _refuse_unread(args, dc.KIND_PARAMS[kind] + spec_reads, f"dio --kind {kind}")
     params = {k: getattr(args, k) for k in dc.KIND_PARAMS[kind]}
     spec = dc.default_spec(kind, args.N, beta=args.beta, delta=args.delta)
     rep = dc.dio_report(kind, eps=args.eps, mode=args.mode, spec=spec, **params)
@@ -187,6 +212,7 @@ def _run_vaughan(args):
 
 
 def _run_msum(args):
+    _refuse_unread(args, () if args.x is None else ("method",), "msum without --x")
     if args.x is None:
         return _suite_rows(args, suites.msum_suite, seed=args.seed)
     if args.method == "direct":
@@ -314,15 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("dio", help="correlation count battery or single count")
     s.add_argument("--kind", choices=tuple(dc.KIND_PARAMS))
-    s.add_argument("--N", type=int, default=4)
-    s.add_argument("--H", type=int, default=2)
-    s.add_argument("--M", type=int, default=2)
-    s.add_argument("--alpha", type=float, default=1.0)
-    s.add_argument("--beta", type=float, default=1.0)
-    s.add_argument("--gamma", type=float, default=1.0)
-    s.add_argument("--X", type=float, default=100.0)
-    s.add_argument("--delta", type=float, default=None)
-    s.add_argument("--mode", choices=dc.MODES, default="endpoint")
+    # defaults in _SOMETIMES_READ
+    s.add_argument("--N", type=int)
+    s.add_argument("--H", type=int)
+    s.add_argument("--M", type=int)
+    s.add_argument("--alpha", type=float)
+    s.add_argument("--beta", type=float)
+    s.add_argument("--gamma", type=float)
+    s.add_argument("--X", type=float)
+    s.add_argument("--delta", type=float)
+    s.add_argument("--mode", choices=dc.MODES)
     s.set_defaults(run=_run_dio)
 
     s = sub.add_parser("vaughan", help="decomposition identity battery")
@@ -331,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("msum", help="floor-ratio sum battery or single value")
     s.add_argument("--x", type=int)
-    s.add_argument("--method", choices=("direct", "blocked"), default="blocked")
+    s.add_argument("--method", choices=("direct", "blocked"))  # default in _SOMETIMES_READ
     s.set_defaults(run=_run_msum)
 
     s = sub.add_parser("frak-s", help="sawtooth block sum")

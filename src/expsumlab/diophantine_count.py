@@ -288,7 +288,8 @@ def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
                       N=params.get("N"), X=params["X"])
     echo = dict(params)
     if spec is not None:
-        echo.update(beta_spec=spec.beta, delta=spec.delta, M_spec=spec.M, kind_spec=spec.kind)
+        echo.update(beta_spec=spec.beta, delta=spec.delta, M_spec=spec.M, kind_spec=spec.kind,
+                    mode=mode)
     return DioResult(
         kind=kind,
         count=count,

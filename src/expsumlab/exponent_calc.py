@@ -57,10 +57,6 @@ class Monomial:
                 return e
         return Fraction(0)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         merged = {v: e for v, e in self.exps}
         for v, e in other.exps:
@@ -117,9 +113,6 @@ class BoundExpr:
     def substitute(self, var: str, replacement: Monomial) -> "BoundExpr":
         return BoundExpr.of(*(t.substitute(var, replacement) for t in self.terms))
 
-    def merged(self, other: "BoundExpr") -> "BoundExpr":
-        return BoundExpr.of(*self.terms, *other.terms)
-
     def __str__(self) -> str:
         return ", ".join(str(t) for t in self.terms)
 
@@ -171,7 +164,7 @@ class AffineForm:
 
 
 def affine_in(m: Monomial, var: str = "D", base: str = "x") -> AffineForm:
-    extra = [v for v in m.variables if v not in (var, base)]
+    extra = [v for v, _ in m.exps if v not in (var, base)]
     if extra:
         raise UnsupportedStructureError(
             f"monomial {m} does not reduce to {base} and {var}: leftover {extra}"
@@ -239,8 +232,6 @@ def minimax_balance(terms: BoundExpr, lo, hi, *, var: str = "E",
     exactly.  active lists the term indices attaining the max at the optimum
     (at an interior optimum at least two forms equalize).
     """
-    if not isinstance(terms, BoundExpr):
-        terms = BoundExpr.of(*terms)
     forms = [affine_in(t, var, base) for t in terms.terms]
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
@@ -312,23 +303,15 @@ def balance_pair(a: Monomial, b: Monomial, var: str = "L") -> BalancePairResult:
 # endpoint maximization over a monomial range
 
 
-def range_max(expr: BoundExpr, var: str, lo: Monomial | None,
-              hi: Monomial | None) -> BoundExpr:
+def range_max(expr: BoundExpr, var: str, lo: Monomial, hi: Monomial) -> BoundExpr:
     """Max of each term over var in [lo, hi], for var >= 1 and monotone terms.
 
     A term with positive var-exponent peaks at hi, negative at lo; exponent 0
-    leaves the term unchanged.  The substituted endpoint must be supplied."""
+    leaves the term unchanged."""
     out = []
     for t in expr.terms:
         e = t.exponent(var)
-        if e == 0:
-            out.append(t)
-            continue
-        end = hi if e > 0 else lo
-        which = "hi" if e > 0 else "lo"
-        if end is None:
-            raise ValueError(f"term {t} needs the {which} endpoint of {var}")
-        out.append(t.substitute(var, end))
+        out.append(t if e == 0 else t.substitute(var, hi if e > 0 else lo))
     return BoundExpr.of(*out)
 
 
@@ -359,32 +342,18 @@ def type_one_bound(pair: ExponentPair) -> BoundExpr:
     )
 
 
-@dataclass(frozen=True)
-class TypeOneResult:
-    expr: BoundExpr
-    l_star: Monomial | None
-    boundary: bool
-
-
-def optimize_type_one(pair: ExponentPair) -> TypeOneResult:
+def optimize_type_one(pair: ExponentPair) -> BoundExpr:
     """Balance the D L^{-1} term against the L^k term over L >= 1.
 
     For k > 0 this yields (x^{3k} D^{-2k+2l+1})^{1/(3k+3)} plus the L = 1
     values of the other terms; for k = 0 the optimum runs off to L = inf and
-    the boundary flag is set."""
-    full = type_one_bound(pair)
-    dl_term, l_term, tail = full.terms
+    only the L = 1 values remain.  The balancing L itself is balance_pair's."""
+    dl_term, l_term, tail = type_one_bound(pair).terms
     balanced = balance_pair(dl_term, l_term, var="L")
     at_one = l_term.substitute("L", Monomial.one())
     if balanced.boundary:
-        return TypeOneResult(
-            expr=BoundExpr.of(at_one, tail), l_star=None, boundary=True
-        )
-    return TypeOneResult(
-        expr=BoundExpr.of(balanced.value, at_one, tail),
-        l_star=balanced.l_star,
-        boundary=False,
-    )
+        return BoundExpr.of(at_one, tail)
+    return BoundExpr.of(balanced.value, at_one, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +428,7 @@ def segment_bound_large() -> BoundExpr:
     part, with the smooth terms certified dominated over t in [11/21, 3/4]."""
     rough = reduce_rough_segment()
     smooth = optimize_type_one(ExponentPair(Fraction(1, 2), Fraction(1, 2)))
-    for term in smooth.expr.terms:
+    for term in smooth.terms:
         res = dominance_check(term, rough.expr, *T_RANGE)
         if not res.holds:
             raise AssertionError(f"smooth term {term} not dominated")
@@ -468,9 +437,6 @@ def segment_bound_large() -> BoundExpr:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    e_star: Fraction
-    value: Fraction
-    optimum: Monomial
     minimax: MinimaxResult
     small_peak: BoundExpr
     large_peak: BoundExpr
@@ -484,7 +450,7 @@ def combined_error_exponent() -> PipelineResult:
     the initial-segment estimate, and minimaxes over E = x^e,
     e in [8/17, 1/2].  Returns e* = 17/36 with value x^{17/36}."""
     lo_e, hi_e = E_RANGE
-    crossover = Fraction(11, 21)
+    crossover = T_RANGE[0]
     if lo_e < SMALL_RANGE_FLOOR or crossover > SMALL_RANGE_CEIL:
         raise AssertionError("small-segment bound used outside its validity window")
     e_mono = Monomial.of(E=1)
@@ -492,41 +458,23 @@ def combined_error_exponent() -> PipelineResult:
     x_over_e = Monomial.of(x=1, E=-1)
     small_peak = range_max(segment_bound_small(), "D", lo=e_mono, hi=cross_mono)
     large_peak = range_max(segment_bound_large(), "D", lo=cross_mono, hi=x_over_e)
-    expr = BoundExpr.of(e_mono).merged(small_peak).merged(large_peak)
-    res = minimax_balance(expr, lo_e, hi_e)
-    return PipelineResult(
-        e_star=res.e_star,
-        value=res.value,
-        optimum=res.optimum,
-        minimax=res,
-        small_peak=small_peak,
-        large_peak=large_peak,
-    )
+    expr = BoundExpr.of(e_mono, *small_peak.terms, *large_peak.terms)
+    return PipelineResult(minimax=minimax_balance(expr, lo_e, hi_e),
+                          small_peak=small_peak, large_peak=large_peak)
 
 
-@dataclass(frozen=True)
-class GapResult:
-    holds: bool
-    margins: tuple[tuple[Fraction, Fraction, Fraction], ...]
-
-
-def side_condition_gap() -> GapResult:
+def side_condition_gap() -> DominanceResult:
     """Strict exponent gap behind the smallness condition x H'/(M N) = o(D K).
 
-    With H' <= K D^{13/380} = D^{H_EXPONENT} and M N of size D, the left side
-    is at most x D^{H_EXPONENT - 1} and the right side is D^{1 + K_EXPONENT}.
-    The gap is certified as a STRICT exponent inequality at both endpoints of
-    t = log_x D in T_RANGE (affine in t, so that settles the whole range); the
-    unquantified constant in the o(.) itself is out of scope."""
+    With H' <= H = D^{H_EXPONENT} and M N of size D, the left side is at most
+    x D^{H_EXPONENT - 1} and the right side is D^{1 + K_EXPONENT}.  With
+    K = D^{K_EXPONENT}, the bound K D^{13/380} on H' is D^{1/19}, below
+    D^{H_EXPONENT} = D^{2/19}, so the gap certified here covers it too.  One dominance_check over t = log_x D
+    in T_RANGE gives the endpoint margins; holds also asks each to be STRICT,
+    and witness is the first endpoint that is not.  The unquantified constant
+    in the o(.) itself is out of scope."""
     lhs = Monomial.of(x=1, D=H_EXPONENT - 1)
     rhs = Monomial.of(D=1 + K_EXPONENT)
-    fl = affine_in(lhs)
-    fr = affine_in(rhs)
-    margins = []
-    holds = True
-    for t in T_RANGE:
-        a, b = fl.at(t), fr.at(t)
-        margins.append((t, a, b))
-        if not a < b:
-            holds = False
-    return GapResult(holds=holds, margins=tuple(margins))
+    res = dominance_check(lhs, BoundExpr.of(rhs), *T_RANGE)
+    witness = next((t for t, a, b in res.margins if not a < b), None)
+    return DominanceResult(holds=witness is None, witness=witness, margins=res.margins)

@@ -278,7 +278,6 @@ def error_curve(grid, constant: MainConstant | None = None) -> ErrorCurve:
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
-    intercept: float
     slope_stderr: float
     used: int
     excluded: int
@@ -312,5 +311,5 @@ def fit_error_slope(curve: ErrorCurve, floor: float = 1.0) -> SlopeFit:
     resid = ly_arr - (intercept + slope * lx_arr)
     dof = max(1, len(lx) - 2)
     stderr = math.sqrt(float(np.sum(resid ** 2)) / dof / sxx)
-    return SlopeFit(slope=slope, intercept=intercept, slope_stderr=stderr,
+    return SlopeFit(slope=slope, slope_stderr=stderr,
                     used=len(lx), excluded=len(curve.xs) - len(lx))

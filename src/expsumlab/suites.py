@@ -169,9 +169,14 @@ _DIO_LADDERS = {
 }
 
 
-def dio_suite(seed: int = 0, slack: float = 4.0) -> SuiteResult:
+# how far a ladder step's fitted constant may drift from the base step's,
+# as a factor either way
+DIO_SLACK = 4.0
+
+
+def dio_suite(seed: int = 0) -> SuiteResult:
     """Frozen exact counts, doubling ladders with a fitted constant that may
-    drift by at most the slack factor, and endpoint-vs-scan agreement."""
+    drift by at most the DIO_SLACK factor, and endpoint-vs-scan agreement."""
     rows = []
     for kind, params in (("B0", {"N": 2, "beta": 2.0, "X": 100.0}),
                          ("B1", {"H": 2, "M": 2, "alpha": 1.0, "beta": 1.0, "X": 100.0})):
@@ -188,10 +193,10 @@ def dio_suite(seed: int = 0, slack: float = 4.0) -> SuiteResult:
                                       rep.fitted_constant, base_c, True))
                 continue
             drift = rep.fitted_constant / base_c
-            ok = 1.0 / slack <= drift <= slack
+            ok = 1.0 / DIO_SLACK <= drift <= DIO_SLACK
             size = step.get("N") or step.get("M")
             rows.append(ReportRow("dio", f"ladder_{kind}_size{size}",
-                                  dict(step), drift, slack, ok))
+                                  dict(step), drift, DIO_SLACK, ok))
     for kind in ("B2", "B3"):
         params = {"N": 8, "gamma": 1.0, "X": 8.0}
         spec = dc.default_spec(kind, params["N"])
@@ -321,12 +326,18 @@ def load_baselines() -> dict:
         return json.load(fh)
 
 
-def regression_instances(seed: int = 20260801, count: int = 24):
+# the seed of the frozen grid's random instances, and how far a thm1 ratio
+# may rise above its baseline, as a factor
+REGRESSION_SEED = 20260801
+REGRESSION_DRIFT = 10.0
+
+
+def regression_instances(count: int = 24):
     """The frozen grid: seeded random in-regime instances plus fixed
     decomposition scenarios."""
     if count < 0:
         raise ValueError(f"--count must be >= 0, got {count}")
-    insts = list(ee.random_regime_instances(count, seed=seed))
+    insts = list(ee.random_regime_instances(count, seed=REGRESSION_SEED))
     cases = [f"rand_{i:02d}" for i in range(count)]
     for hp, mode, delta in ((1, "rectangle", 0.0), (4, "rectangle", 1.0),
                             (4, "hyperbola", 1.0), (2, "hyperbola", 0.5)):
@@ -336,21 +347,20 @@ def regression_instances(seed: int = 20260801, count: int = 24):
     return cases, insts
 
 
-def expsum_regression_suite(seed: int = 20260801, count: int = 24,
-                            baseline: dict | None = None,
-                            drift: float = 10.0) -> SuiteResult:
+def expsum_regression_suite(count: int = 24,
+                            baseline: dict | None = None) -> SuiteResult:
     """|S| against the perturbation-aware bound on the frozen grid: the
-    ratio may not exceed the recorded baseline by more than the drift
-    factor, and |S| may never exceed the number of lattice points.  A
-    baseline that is not an object of cases, lacks an entry for some case
-    or holds a non-number, is refused before any sum."""
+    ratio may not exceed the recorded baseline by more than the
+    REGRESSION_DRIFT factor, and |S| may never exceed the number of lattice
+    points.  A baseline that is not an object of cases, lacks an entry for
+    some case or holds a non-number, is refused before any sum."""
     if baseline is None:
         baseline = load_baselines()
     base = baseline.get("expsum_thm1", {}) if isinstance(baseline, dict) else None
     if not isinstance(base, dict):
         raise ValueError("the baseline must be a JSON object whose 'expsum_thm1' "
                          "entry is an object of cases")
-    cases, insts = regression_instances(seed=seed, count=count)
+    cases, insts = regression_instances(count=count)
     missing = [case for case in cases if case not in base]
     if missing:
         raise ValueError(f"the baseline has no entry for case {missing[0]!r} "
@@ -363,7 +373,7 @@ def expsum_regression_suite(seed: int = 20260801, count: int = 24,
         lhs = abs(ee.eval_exp_sum(inst))
         rhs = ee.bound_value(inst, "thm1")
         ratio = lhs / rhs
-        cap = drift * base[case]
+        cap = REGRESSION_DRIFT * base[case]
         rows.append(ReportRow("expsum", case, inst.params_dict(), ratio, cap,
                               ratio <= cap, seed=inst.seed))
         cnt = ee.lattice_count(inst)
@@ -373,15 +383,15 @@ def expsum_regression_suite(seed: int = 20260801, count: int = 24,
     return _finish("expsum", rows)
 
 
-def measure_baselines(seed: int = 20260801, count: int = 24) -> dict:
+def measure_baselines(count: int = 24) -> dict:
     """Current thm1 ratios on the frozen grid, for regenerating the
     committed baseline file."""
-    cases, insts = regression_instances(seed=seed, count=count)
+    cases, insts = regression_instances(count=count)
     ratios = {}
     for case, inst in zip(cases, insts):
         lhs = abs(ee.eval_exp_sum(inst))
         ratios[case] = lhs / ee.bound_value(inst, "thm1")
-    return {"version": 1, "seed": seed, "count": count, "expsum_thm1": ratios}
+    return {"version": 1, "seed": REGRESSION_SEED, "count": count, "expsum_thm1": ratios}
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +407,7 @@ def exponent_suite() -> SuiteResult:
                               1.0 if got == want else 0.0, 1.0, got == want))
 
     F = Fraction
-    terms = [xc.parse_monomial(t) for t in
-             ("E", "x^{17/19} * E^{-17/19}", "x^{212/285} * E^{-329/570}")]
+    terms = xc.parse_bound_expr("E, x^{17/19} * E^{-17/19}, x^{212/285} * E^{-329/570}")
     mm = xc.minimax_balance(terms, lo=F(8, 17), hi=F(1, 2))
     exact("minimax_estar", mm.e_star, F(17, 36))
     exact("minimax_optimum", mm.optimum, xc.Monomial.of(x=F(17, 36)))
@@ -420,9 +429,9 @@ def exponent_suite() -> SuiteResult:
     exact("balance_lstar", bp.l_star, xc.Monomial.of(x=F(-1, 3), D=F(7, 9)))
     exact("balance_value", bp.value, xc.Monomial.of(x=F(1, 3), D=F(2, 9)))
     t1 = xc.optimize_type_one(xc.ExponentPair(F(1, 2), F(1, 2)))
-    exact("type_one_lead", t1.expr.terms[0], xc.Monomial.of(x=F(1, 3), D=F(2, 9)))
+    exact("type_one_lead", t1.terms[0], xc.Monomial.of(x=F(1, 3), D=F(2, 9)))
     pipe = xc.combined_error_exponent()
-    exact("pipeline_estar", pipe.e_star, F(17, 36))
+    exact("pipeline_estar", pipe.minimax.e_star, F(17, 36))
     gap = xc.side_condition_gap()
     rows.append(ReportRow("expcalc", "side_condition",
                           {"margins": str(gap.margins)}, 1.0 if gap.holds else 0.0,
@@ -451,7 +460,8 @@ def sieve_suite(seed: int = 0, limit: int = 10 ** 6, window: int = 10 ** 4) -> S
     lo = limit // 2
     seg = segment_sieve(lo, lo + window)
     err = float(np.max(np.abs(seg - full[lo: lo + window])))
-    rows.append(ReportRow("sieve", "segment_agrees", {"limit": limit, "lo": lo},
+    rows.append(ReportRow("sieve", "segment_agrees",
+                          {"limit": limit, "lo": lo, "window": window},
                           err, 0.0, err == 0.0, seed=seed))
     rng = DetRand(seed)
     worst = 0.0

@@ -185,7 +185,6 @@ class VaughanSplit:
 
     D: int
     cut: int
-    tables: AlphaTables
     s1: float
     s2: float
     s3: float
@@ -210,7 +209,7 @@ def vaughan_split(D: int, g, tables: AlphaTables | None = None) -> VaughanSplit:
     n_hi = np.minimum(t.rough_hi, (2 * D) // m)
     s3 = _row_sum(t.alpha3, m, n_lo, n_hi, g, lambda n: t.alpha4[n - t.cut - 1])
     s4 = _row_sum(t.alpha5, m, n_lo, n_hi, g, lambda n: t.alpha6[n - t.cut - 1])
-    return VaughanSplit(D=D, cut=t.cut, tables=t, s1=s1, s2=s2, s3=s3, s4=s4)
+    return VaughanSplit(D=D, cut=t.cut, s1=s1, s2=s2, s3=s3, s4=s4)
 
 
 def direct_lambda_sum(D: int, g) -> float:

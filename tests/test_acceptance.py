@@ -58,7 +58,8 @@ def test_c04_diophantine_counts():
     assert dio_report("B0", N=2, beta=2.0, X=100.0).count == 6
     assert dio_report("B1", H=2, M=2, alpha=1.0, beta=1.0, X=100.0).count == 6
     # doubling ladders with slack <= 4 and endpoint == scan agreement
-    result = suites.dio_suite(seed=0, slack=4.0)
+    assert suites.DIO_SLACK == 4.0
+    result = suites.dio_suite(seed=0)
     _green(result)
 
 
@@ -74,10 +75,10 @@ def test_c06_exact_exponent_identities():
     assert 1 - theta / 4 + F(7, 760) == F(679, 760) <= F(17, 19)
     assert (2 + 7 * F(11, 21)) / 12 == F(17, 36)
     pipe = combined_error_exponent()
-    assert pipe.e_star == F(17, 36)
-    assert pipe.optimum == Monomial.of(x=F(17, 36))
+    assert pipe.minimax.e_star == F(17, 36)
+    assert pipe.minimax.optimum == Monomial.of(x=F(17, 36))
     t1 = optimize_type_one(ExponentPair(F(1, 2), F(1, 2)))
-    assert Monomial.of(x=F(1, 3), D=F(2, 9)) in t1.expr.terms
+    assert Monomial.of(x=F(1, 3), D=F(2, 9)) in t1.terms
     assert Monomial.of(D=F(17, 19)) in reduce_rough_segment().expr.terms
     _green(suites.exponent_suite())
 
@@ -107,7 +108,8 @@ def test_c09_error_curve_slope():
 
 
 def test_c10_triple_sum_regression():
-    result = suites.expsum_regression_suite(drift=10.0)
+    assert suites.REGRESSION_DRIFT == 10.0
+    result = suites.expsum_regression_suite()
     _green(result)
 
 

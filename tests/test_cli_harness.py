@@ -46,8 +46,22 @@ def test_dio_single_count_params_follow_kind_table(capsys, kind):
     rc, out, err = _run(capsys, ["--format", "json", "dio", "--kind", kind, "--X", "8"])
     assert rc == 0
     params = json.loads(out)["rows"][0]["params"]
-    spec_fields = {"beta_spec", "delta", "M_spec", "kind_spec"} if kind in ("B2", "B3") else set()
+    spec_fields = ({"beta_spec", "delta", "M_spec", "kind_spec", "mode"}
+                   if kind in ("B2", "B3") else set())
     assert set(params) == set(KIND_PARAMS[kind]) | spec_fields
+
+
+@pytest.mark.parametrize("argv, case, key, value", [
+    (["dio", "--kind", "B3", "--N", "4", "--X", "8", "--mode", "scan"], "B3", "mode", "scan"),
+    (["dio", "--kind", "B2", "--N", "4", "--X", "8"], "B2", "mode", "endpoint"),
+    (["sieve", "--limit", "1000", "--window", "100"], "segment_agrees", "window", 100),
+], ids=["dio-b3-scan", "dio-b2-endpoint", "sieve-window"])
+def test_row_echoes_what_it_checked(capsys, argv, case, key, value):
+    # runs that differ only in this option print different rows
+    rc, out, err = _run(capsys, ["--format", "json", *argv])
+    assert rc == 0
+    row = next(r for r in json.loads(out)["rows"] if r["case"] == case)
+    assert row["params"][key] == value
 
 
 def test_expcalc_balance_headline(capsys):
@@ -154,6 +168,16 @@ def test_runtime_error_exits_one(capsys):
      "seed.cfg:1: seed: invalid literal for int()"),
     (["EXPSUMLAB_EPS=x", "psi", "--count", "10"],
      "EXPSUMLAB_EPS: could not convert string to float: 'x'"),
+    (["dio", "--N", "8", "--mode", "scan"], "dio without --kind does not read --N, --mode"),
+    (["dio", "--delta", "0.2"], "dio without --kind does not read --delta"),
+    (["dio", "--kind", "B3", "--N", "4", "--X", "8", "--H", "3", "--alpha", "5"],
+     "dio --kind B3 does not read --H, --alpha"),
+    (["dio", "--kind", "B2", "--M", "3"], "dio --kind B2 does not read --M"),
+    (["dio", "--kind", "B0", "--N", "2", "--beta", "2", "--X", "100", "--mode", "scan",
+      "--gamma", "3", "--delta", "0.2"], "dio --kind B0 does not read --gamma, --delta, --mode"),
+    (["dio", "--kind", "B1", "--N", "3"], "dio --kind B1 does not read --N"),
+    (["dio", "--kind", "B1", "--mode", "endpoint"], "dio --kind B1 does not read --mode"),
+    (["msum", "--method", "direct"], "msum without --x does not read --method"),
 ], ids=["msum-budget", "expsum-count30", "expsum-partial-baseline",
         "expsum-list-baseline", "expsum-text-entry", "frak-s-precision",
         "frak-s-nan", "frak-s-delta-nan", "sieve-window-wide",
@@ -165,7 +189,9 @@ def test_runtime_error_exits_one(capsys):
         "dio-beta-nan", "dio-x-inf", "substitute-zero-denominator",
         "substitute-braced-zero-denominator", "assign-zero-denominator",
         "balance-range-zero-denominator", "dominate-range-zero-denominator",
-        "dio-b3-beta-inf", "dio-b2-beta-inf", "config-bad-seed", "env-bad-eps"])
+        "dio-b3-beta-inf", "dio-b2-beta-inf", "config-bad-seed", "env-bad-eps",
+        "dio-battery-n-mode", "dio-battery-delta", "dio-b3-h-alpha", "dio-b2-m",
+        "dio-b0-gamma-delta-mode", "dio-b1-n", "dio-b1-mode", "msum-battery-method"])
 def test_refused_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, needle):
     from expsumlab.suites import load_baselines
 
@@ -347,6 +373,8 @@ def test_version_flag(capsys):
 # One cheap run of every report subcommand, and for each of its options
 # (by argparse dest) flags that change it; argparse keeps the last value of
 # a repeated flag.  The "" entry holds the top-level options, run on expsum.
+# A key's first word is the subcommand; "dio B1" is a second dio run for the
+# options that a B3 count does not read.
 HASH_RUNS = {
     "": (["--baseline", "BASE"],
          {"seed": ["--seed", "1"], "eps": ["--eps", "0.2"],
@@ -357,10 +385,11 @@ HASH_RUNS = {
     "dls": (["--count", "25"], {"count": ["--count", "26"]}),
     "expsum": (["--count", "2"], {"count": ["--count", "3"]}),
     "dio": (["--kind", "B3", "--N", "4", "--X", "8"],
-            {"kind": ["--kind", "B2"], "N": ["--N", "5"], "H": ["--H", "3"],
-             "M": ["--M", "3"], "alpha": ["--alpha", "2"], "beta": ["--beta", "2"],
+            {"kind": ["--kind", "B2"], "N": ["--N", "5"], "beta": ["--beta", "2"],
              "gamma": ["--gamma", "2"], "X": ["--X", "9"], "delta": ["--delta", "0.4"],
              "mode": ["--mode", "scan"]}),
+    "dio B1": (["--kind", "B1", "--H", "4", "--M", "8", "--X", "32"],
+               {"H": ["--H", "3"], "M": ["--M", "3"], "alpha": ["--alpha", "2"]}),
     "vaughan": (["--d-list", "101"], {"d_list": ["--d-list", "102"]}),
     "msum": (["--x", "10", "--method", "direct"],
              {"x": ["--x", "11"], "method": ["--method", "blocked"]}),
@@ -376,15 +405,23 @@ HASH_RUNS = {
 UNHASHED = {"format", "timing", "config"}
 
 
+def _subcommand(name):
+    return name.partition(" ")[0]
+
+
+HASH_CASES = [(n, d) for n, (_, alts) in HASH_RUNS.items() for d in alts]
+
+
 def test_hash_table_covers_every_option():
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     own = {a.dest for a in parser._actions} - {"help", "version", "command"}
     assert set(HASH_RUNS[""][1]) | UNHASHED == own
     reports = set(sub.choices) - {"expcalc"}  # prints expressions, not a report
-    assert set(HASH_RUNS) - {""} == reports
+    assert {_subcommand(key) for key in HASH_RUNS} - {""} == reports
     for name in reports:
-        assert set(HASH_RUNS[name][1]) == {a.dest for a in sub.choices[name]._actions} - {"help"}
+        covered = {d for key, d in HASH_CASES if _subcommand(key) == name}
+        assert covered == {a.dest for a in sub.choices[name]._actions} - {"help"}
 
 
 def _argv(name, extra=()):
@@ -392,7 +429,7 @@ def _argv(name, extra=()):
     base, _ = HASH_RUNS[name]
     if name == "":
         return [*base, *extra, "expsum", "--count", "2"]
-    return [name, *base, *extra]
+    return [_subcommand(name), *base, *extra]
 
 
 def _hash(capsys, tmp_path, argv):
@@ -409,8 +446,8 @@ def _hash(capsys, tmp_path, argv):
     return json.loads(out)["meta"]["config_hash"]
 
 
-@pytest.mark.parametrize("name, dest", [(n, d) for n, (_, alts) in HASH_RUNS.items()
-                                        for d in alts])
+@pytest.mark.parametrize("name, dest", HASH_CASES,
+                         ids=[f"{_subcommand(n)}-{d}" for n, d in HASH_CASES])
 def test_config_hash_covers_option(capsys, tmp_path, name, dest):
     # two runs that differ in one option never share a hash
     alt = HASH_RUNS[name][1][dest]
@@ -429,6 +466,19 @@ def test_config_hash_ignores_print_settings(capsys, tmp_path, monkeypatch, name)
     if name == "":
         # a baseline enters by its bytes, not its path
         assert _hash(capsys, tmp_path, _argv(name, ["--baseline", "COPY"])) == h
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["dio"], "c0fefd1db32c2e8b"),
+    (["dio", "--kind", "B1", "--H", "4", "--M", "8", "--X", "32"], "bf032bf3acfbf59c"),
+    (["dio", "--kind", "B3", "--N", "4", "--X", "8"], "9b886b9bd8a1ed74"),
+    (["msum", "--x", "10", "--method", "direct"], "bbf3605ee247c9b2"),
+    (["msum", "--x", "1000"], "319a1026ec98ee7c"),
+], ids=["dio", "dio-b1", "dio-b3", "msum-direct", "msum-blocked"])
+def test_config_hash_pinned(capsys, tmp_path, argv, digest):
+    # the dio and msum options that only some runs read get their defaults
+    # after the parse, and hash as they did when argparse filled them in
+    assert _hash(capsys, tmp_path, argv) == digest
 
 
 def test_config_hash_ignores_format():

@@ -163,3 +163,56 @@ def test_no_unreached_public_names():
     package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     bench = [p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))]
     assert unreached_names(package, list(package.values()) + bench) == sorted(UNREACHED_KEPT)
+
+
+# Dataclass fields that no package module, benchmark file or test reads,
+# kept on purpose; every other such field is state nothing looks at.
+UNREAD_FIELDS_KEPT: dict = {}
+TESTS = ROOT / "tests"
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def unread_fields(defining: dict, readers: list) -> list:
+    """Class-level fields of the dataclasses in the defining sources (a map
+    from module name to text) that no reader source reads as an attribute;
+    an assignment to the attribute is not a read."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    found = []
+    for module, source in defining.items():
+        for cls in ast.parse(source).body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(_is_dataclass_decorator(d) for d in cls.decorator_list)):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and node.target.id not in read):
+                    found.append(f"{module}.{cls.name}.{node.target.id}")
+    return sorted(found)
+
+
+def test_scan_sees_unread_fields():
+    core = ("from dataclasses import dataclass\nimport dataclasses\n"
+            "@dataclass(frozen=True)\nclass Fit:\n    slope: float\n    intercept: float\n"
+            "    LIMIT = 3\n"
+            "@dataclasses.dataclass\nclass Row:\n    lhs: float\n    note: str = ''\n"
+            "class Plain:\n    unread: int\n"
+            "def fit():\n    return Fit(slope=1.0, intercept=0.0)\n")
+    user = "r = Row(1.0)\nr.note = 'set, never read'\ny = fit().slope + r.lhs\n"
+    assert unread_fields({"core": core}, [core, user]) == ["core.Fit.intercept",
+                                                           "core.Row.note"]
+
+
+def test_no_unread_dataclass_fields():
+    package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))]
+    others += [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    assert unread_fields(package, list(package.values()) + others) == sorted(UNREAD_FIELDS_KEPT)

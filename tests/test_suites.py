@@ -95,7 +95,7 @@ def test_timing_off_keeps_rows_deterministic(capsys):
 def test_baselines_resource_loads():
     data = suites.load_baselines()
     assert data["version"] == 1
-    assert data["seed"] == 20260801
+    assert data["seed"] == suites.REGRESSION_SEED == 20260801
     assert len(data["expsum_thm1"]) == data["count"] + 4
 
 
