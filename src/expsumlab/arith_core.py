@@ -20,6 +20,9 @@ import numpy as np
 from .errors import CapacityError
 
 DEFAULT_SEGMENT_CAPACITY = 1 << 24
+# entries per chunk of chunked_tree_sum, and the block of every evaluator
+# that builds its summands chunk by chunk
+CHUNK_SIZE = 1 << 16
 # entries of a prime mask marked at once: 1 MB of flags stays in cache
 _MASK_BLOCK = 1 << 20
 # the wheel primes: their multiples are stamped into each mask block from
@@ -56,7 +59,7 @@ def _tree_reduce(parts):
     return parts[0]
 
 
-def chunked_tree_sum(n: int, chunk_fn, chunk_size: int = 1 << 16, workers: int = 1):
+def chunked_tree_sum(n: int, chunk_fn, chunk_size: int = CHUNK_SIZE, workers: int = 1):
     """Sum chunk_fn(lo, hi) over the fixed chunking of range(n).
 
     The index range is cut into chunks of chunk_size; each chunk partial is

@@ -289,7 +289,7 @@ def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
     echo = dict(params)
     if spec is not None:
         echo.update(beta_spec=spec.beta, delta=spec.delta, M_spec=spec.M, kind_spec=spec.kind,
-                    mode=mode)
+                    mode=mode, in_regime=in_regime)
     return DioResult(
         kind=kind,
         count=count,

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import arith_core
 from .arith_core import (
+    CHUNK_SIZE,
     chunked_tree_sum,
     mangoldt_many,
     mangoldt_point,
     psi_frac_many,
     segment_sieve,
-    sieve_mangoldt,
 )
 from .errors import CapacityError, DegenerateFitError, require_integer
 
@@ -37,9 +37,10 @@ WINDOW_LIMIT = 10 ** 9
 # or by eval_exp_sum's phase: at 2^46 a double keeps 6 bits of the fractional
 # part, beyond it the reduction is rounding noise
 QUOTIENT_GUARD = 2.0 ** 46
-# integers sieved at once by _sieved_sum: 16 of chunked_tree_sum's 65536-entry
-# chunks, so a piece's partial is a whole subtree of its segment's chunk tree
-_PIECE = 1 << 20
+# integers sieved at once by _sieved_sum and s_lambda_direct: 16 of
+# chunked_tree_sum's chunks, so a piece's partial in _sieved_sum is a whole
+# subtree of its segment's chunk tree
+_PIECE = 16 * CHUNK_SIZE
 DEFAULT_BEST_T = 10 ** 8
 
 
@@ -71,7 +72,7 @@ def _sieved_sum(lo: int, hi: int, term, workers: int = 1) -> float:
     """sum_{lo < d <= hi} term(Lambda(d), d) in a fixed order.
 
     The range is cut into segments of DEFAULT_SEGMENT_CAPACITY integers,
-    each summed over 65536-entry chunks by one fan-in-2 tree, and the
+    each summed over CHUNK_SIZE-entry chunks by one fan-in-2 tree, and the
     segment partials are combined with math.fsum.  A segment is sieved and
     summed in pieces of _PIECE integers: an outer chunked_tree_sum over the
     pieces combines the piece partials, each the chunked_tree_sum of its
@@ -98,20 +99,53 @@ def _sieved_sum(lo: int, hi: int, term, workers: int = 1) -> float:
 
 
 def s_lambda_direct(x: int, workers: int = 1) -> float:
-    """Literal sum of Lambda([x/n]) over n <= x from one full sieve."""
+    """Literal sum of Lambda([x/n]) over n <= x, each chunk of n sieving
+    only the quotients it reads.
+
+    A chunk (lo, hi] of chunked_tree_sum reads Lambda on [x // hi,
+    x // (lo + 1)].  Every chunk but the first has n > CHUNK_SIZE, so its
+    quotients lie in [1, x // (CHUNK_SIZE + 1)], one short range sieved once
+    and shared; the first chunk's quotients reach x and are sieved in pieces
+    by _first_chunk.  segment_sieve's values do not depend on the segment
+    bounds, so each chunk sums the values of a full sieve, in order."""
     x = _check_x(x)
     if x > DIRECT_LIMIT:
         raise CapacityError(
             f"x = {x} exceeds the direct budget {DIRECT_LIMIT}; "
             "use s_lambda_blocked"
         )
-    lam = sieve_mangoldt(x)  # lam[d - 1] = Lambda(d)
-    return float(chunked_tree_sum(
-        x, lambda lo, hi: _direct_terms(lam, x, lo + 1, hi).sum(), workers=workers))
+    low = segment_sieve(0, x // (CHUNK_SIZE + 1)) if x > CHUNK_SIZE else None
+
+    def chunk(lo, hi):
+        if lo == 0:
+            return _first_chunk(x, hi).sum()
+        return _direct_terms(low, 0, x, lo + 1, hi).sum()
+
+    return float(chunked_tree_sum(x, chunk, CHUNK_SIZE, workers))
 
 
-def _direct_terms(lam: np.ndarray, x: int, n_s: int, n_e: int) -> np.ndarray:
-    """lam[x // n - 1] for n = n_s .. n_e, element for element.
+def _first_chunk(x: int, n_e: int) -> np.ndarray:
+    """Lambda([x/n]) for n = 1 .. n_e, in one array.
+
+    The quotient range [x // n_e, x] is walked from the top down in pieces
+    (a, b] of at most _PIECE integers.  Each piece is one segment_sieve and
+    fills the terms of the n with x // (b+1) < n <= x // (a+1); a piece that
+    no n reads is not sieved."""
+    out = np.empty(n_e)
+    q_e = x // n_e
+    b = x
+    while b >= q_e:
+        a = max(q_e - 1, b - _PIECE)
+        n_s, n_hi = x // (b + 1) + 1, min(x // (a + 1), n_e)
+        if n_s <= n_hi:
+            out[n_s - 1:n_hi] = _direct_terms(segment_sieve(a, b), a, x, n_s, n_hi)
+        b = a
+    return out
+
+
+def _direct_terms(lam: np.ndarray, off: int, x: int, n_s: int, n_e: int) -> np.ndarray:
+    """lam[x // n - off - 1] for n = n_s .. n_e, element for element: lam
+    holds Lambda(off + 1), Lambda(off + 2), ... and covers every x // n.
 
     Where the chunk has fewer distinct quotients than entries (n above about
     sqrt(x)), each quotient q from x // n_s down to x // n_e is gathered
@@ -121,10 +155,10 @@ def _direct_terms(lam: np.ndarray, x: int, n_s: int, n_e: int) -> np.ndarray:
     negative, and a q that no n takes repeats 0 times."""
     q_s, q_e = x // n_s, x // n_e
     if q_s - q_e >= n_e - n_s:
-        return lam[x // np.arange(n_s, n_e + 1, dtype=np.int64) - 1]
+        return lam[x // np.arange(n_s, n_e + 1, dtype=np.int64) - (off + 1)]
     qs = np.arange(q_s, q_e - 1, -1, dtype=np.int64)
     counts = np.minimum(x // qs, n_e) - np.maximum(x // (qs + 1) + 1, n_s) + 1
-    return np.repeat(lam[qs - 1], counts)
+    return np.repeat(lam[qs - (off + 1)], counts)
 
 
 def blocked_block_count(x: int) -> int:
@@ -143,7 +177,7 @@ def s_lambda_blocked(x: int, workers: int = 1) -> float:
     sparse and Lambda comes from mangoldt_point.  Window-sieved: for
     n1 < n <= isqrt(x) the values fill one window of about
     BLOCKED_SPLIT * sqrt(x) integers, and mangoldt_many sieves it; each
-    value is bitwise the pointwise one, so the partial sums over 65536-wide
+    value is bitwise the pointwise one, so the partial sums over CHUNK_SIZE-wide
     n chunks do not depend on the split.  Multiplicity-sieved: each
     remaining value d <= x/(isqrt(x)+1) is weighted by
     [x/d] - max([x/(d+1)], isqrt(x)), its count of n > isqrt(x), and summed

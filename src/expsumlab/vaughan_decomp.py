@@ -46,13 +46,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith_core import integer_kth_root, psi_frac_many, segment_sieve, sieve_mangoldt, sieve_mobius
+from .arith_core import (CHUNK_SIZE, integer_kth_root, psi_frac_many, segment_sieve,
+                         sieve_mangoldt, sieve_mobius)
 from .errors import require_integer
 from .floor_mangoldt import check_peak_quotient, check_window
-
-
-# terms evaluated at once by _row_sum: the chunk size of chunked_tree_sum
-_BLOCK = 1 << 16
 
 
 def vaughan_cut(D: int) -> int:
@@ -136,12 +133,13 @@ def _row_sum(coeffs: np.ndarray, m: np.ndarray, n_lo: np.ndarray,
     of coeffs[i] times the row's np.sum of g(m[i] n) weight(n), n from
     n_lo[i] to n_hi[i].
 
-    Rows are evaluated in blocks of _BLOCK terms, so no temporary outgrows a
-    block; g and weight must be elementwise.  Consecutive short rows share a
-    block: g and weight run once over their concatenated terms, and each
-    row's slice is reduced by np.add.reduce (what np.sum calls), so a row
-    sum keeps the bits of np.sum over the row alone.  A longer row is
-    evaluated block by block into one reused buffer and reduced whole.
+    Rows are evaluated in blocks of CHUNK_SIZE terms (chunked_tree_sum's
+    chunk), so no temporary outgrows a block; g and weight must be
+    elementwise.  Consecutive short rows share a block: g and weight run
+    once over their concatenated terms, and each row's slice is reduced by
+    np.add.reduce (what np.sum calls), so a row sum keeps the bits of
+    np.sum over the row alone.  A longer row is evaluated block by block
+    into one reused buffer and reduced whole.
     np.add.reduceat is not used: it differs from np.sum in the last bit on
     most rows."""
     keep = (coeffs != 0.0) & (n_lo <= n_hi)
@@ -158,13 +156,13 @@ def _row_sum(coeffs: np.ndarray, m: np.ndarray, n_lo: np.ndarray,
     i = 0
     while i < len(m):
         base = ends[i] - lengths[i]
-        j = int(np.searchsorted(ends, base + _BLOCK, side="right"))
+        j = int(np.searchsorted(ends, base + CHUNK_SIZE, side="right"))
         if j == i:  # one row longer than a block
             size = int(lengths[i])
             if len(buf) < size:
                 buf = np.empty(size)
-            for a in range(0, size, _BLOCK):
-                n = np.arange(n_lo[i] + a, n_lo[i] + min(a + _BLOCK, size), dtype=np.int64)
+            for a in range(0, size, CHUNK_SIZE):
+                n = np.arange(n_lo[i] + a, n_lo[i] + min(a + CHUNK_SIZE, size), dtype=np.int64)
                 buf[a:a + len(n)] = terms(m[i], n)
             sums[i] = np.add.reduce(buf[:size])
             j = i + 1

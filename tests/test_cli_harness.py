@@ -46,7 +46,7 @@ def test_dio_single_count_params_follow_kind_table(capsys, kind):
     rc, out, err = _run(capsys, ["--format", "json", "dio", "--kind", kind, "--X", "8"])
     assert rc == 0
     params = json.loads(out)["rows"][0]["params"]
-    spec_fields = ({"beta_spec", "delta", "M_spec", "kind_spec", "mode"}
+    spec_fields = ({"beta_spec", "delta", "M_spec", "kind_spec", "mode", "in_regime"}
                    if kind in ("B2", "B3") else set())
     assert set(params) == set(KIND_PARAMS[kind]) | spec_fields
 
@@ -54,8 +54,15 @@ def test_dio_single_count_params_follow_kind_table(capsys, kind):
 @pytest.mark.parametrize("argv, case, key, value", [
     (["dio", "--kind", "B3", "--N", "4", "--X", "8", "--mode", "scan"], "B3", "mode", "scan"),
     (["dio", "--kind", "B2", "--N", "4", "--X", "8"], "B2", "mode", "endpoint"),
+    # B2's window at N = 4 ends at X = 53.3, so the default X = 100 lies
+    # outside it: the count is printed but its bound is not asserted
+    pytest.param(["dio", "--kind", "B2"], "B2", "in_regime", False,
+                 marks=pytest.mark.filterwarnings("ignore:X = 100 outside supported window")),
+    (["dio", "--kind", "B2", "--N", "8", "--X", "8"], "B2", "in_regime", True),
+    (["dio", "--kind", "B3", "--N", "8", "--X", "8"], "B3", "in_regime", True),
     (["sieve", "--limit", "1000", "--window", "100"], "segment_agrees", "window", 100),
-], ids=["dio-b3-scan", "dio-b2-endpoint", "sieve-window"])
+], ids=["dio-b3-scan", "dio-b2-endpoint", "dio-b2-outside-window", "dio-b2-in-window",
+       "dio-b3-in-window", "sieve-window"])
 def test_row_echoes_what_it_checked(capsys, argv, case, key, value):
     # runs that differ only in this option print different rows
     rc, out, err = _run(capsys, ["--format", "json", *argv])

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -219,6 +220,7 @@ def _psi_window_whole_array(x, lo, hi, delta):
     return _sieved_whole_array(lo, hi, lambda lam, d: lam * arith_core.psi_frac_many(x / (d + delta)))
 
 
+@functools.cache
 def _direct_whole_array(x):
     lam = sieve_mangoldt(x)
 
@@ -255,9 +257,31 @@ def test_direct_bitwise_whole_array():
         assert fm.s_lambda_direct(x).hex() == _direct_whole_array(x).hex(), x
 
 
+@pytest.mark.parametrize("piece", [1 << 16, 1 << 17, fm._PIECE])
+def test_direct_pieces_keep_bits(monkeypatch, piece):
+    # the first chunk's quotients, up to x, are sieved in pieces of one, two
+    # or 16 chunks' width, so at DIRECT_LIMIT it spans up to 153 pieces; the
+    # later chunks read the shared low range from x = 65537 on
+    monkeypatch.setattr(fm, "_PIECE", piece)
+    for x in (1, 65536, 65537, 3 * 10 ** 6 + 17, fm.DIRECT_LIMIT):
+        want = _direct_whole_array(x).hex()
+        for workers in (1, 2):
+            assert fm.s_lambda_direct(x, workers=workers).hex() == want, (x, workers)
+
+
+@pytest.mark.parametrize("piece", [1, 2, 5])
+def test_direct_small_pieces_keep_bits(monkeypatch, piece):
+    # pieces of a few quotients put an edge next to nearly every quotient
+    # some n takes, so a quotient skipped or read twice at an edge shows
+    monkeypatch.setattr(fm, "_PIECE", piece)
+    for x in range(1, 1500, 7):
+        assert fm.s_lambda_direct(x).hex() == _direct_whole_array(x).hex(), x
+
+
 def test_direct_quotient_runs_match_gather():
     # chunks next to isqrt(x), where the runs of equal quotients begin, and
-    # chunks long enough that some quotients between the ends have no n
+    # chunks long enough that some quotients between the ends have no n; the
+    # table starts at Lambda(1) or at the chunk's smallest quotient
     for x in (10 ** 4, 10 ** 6 + 3, 3 * 10 ** 6 + 17):
         lam = sieve_mangoldt(x)
         r = math.isqrt(x)
@@ -265,7 +289,9 @@ def test_direct_quotient_runs_match_gather():
             for width in (1, 2, 3, 7, r // 2, r, 4 * r, 65536):
                 n_e = min(x, n_s + width - 1)
                 want = lam[x // np.arange(n_s, n_e + 1, dtype=np.int64) - 1]
-                assert fm._direct_terms(lam, x, n_s, n_e).tobytes() == want.tobytes(), (x, n_s, n_e)
+                for off in (0, x // n_e - 1):
+                    got = fm._direct_terms(lam[off:], off, x, n_s, n_e)
+                    assert got.tobytes() == want.tobytes(), (x, n_s, n_e, off)
 
 
 def test_windows_and_direct_bitwise_whole_array():
@@ -300,6 +326,9 @@ def test_summands_stay_chunk_sized():
     T = 2 * 10 ** 6
     assert _peak_traced_bytes(lambda: fm.main_constant(T)) < 12 * T
     assert _peak_traced_bytes(lambda: fm.frak_s(8.8e6, 10 ** 6, 0.5)) < 12 * 10 ** 6
+    # the direct sum holds one piece of Lambda (8 bytes an entry) at a time,
+    # not the 80 MB of Lambda on [1, DIRECT_LIMIT]
+    assert _peak_traced_bytes(lambda: fm.s_lambda_direct(fm.DIRECT_LIMIT)) < 16 * fm._PIECE
 
 
 def test_psi_window_precision_guard():
