@@ -138,6 +138,24 @@ def correlation_functions(family: FunctionFamily, threshold: float) -> float:
                                  np.abs(family.coeffs), threshold)
 
 
+def _mean_square_integral(y: np.ndarray, b: np.ndarray, T: float) -> float:
+    """sum_{y,y*} b(y) conj(b(y*)) sin(2 pi T (y - y*)) / (pi (y - y*)),
+    diagonal 2T.  The n x n kernel is built in place, so at most one float
+    and one complex n x n matrix are alive at once."""
+    d = y[:, np.newaxis] - y[np.newaxis, :]
+    diag = d == 0.0
+    kernel = d * (2.0 * np.pi * T)
+    np.sin(kernel, out=kernel)
+    d[diag] = 1.0
+    d *= np.pi
+    kernel /= d
+    del d
+    kernel[diag] = 2.0 * T
+    terms = b[:, np.newaxis] * np.conj(b[np.newaxis, :])
+    terms *= kernel
+    return float(np.real(np.sum(terms)))
+
+
 def lemma21_check(points: PointSet, T: float, eta: float, seed: int | None = None) -> ReportRow:
     """Spacing inequality for the mean square of a trigonometric sum.
 
@@ -152,12 +170,7 @@ def lemma21_check(points: PointSet, T: float, eta: float, seed: int | None = Non
         raise ValueError("T must be positive")
     if not eta > 0:
         raise ValueError("eta must be positive")
-    y = points.points
-    b = points.coeffs
-    d = y[:, np.newaxis] - y[np.newaxis, :]
-    safe = np.where(d == 0.0, 1.0, d)
-    kernel = np.where(d == 0.0, 2.0 * T, np.sin(2.0 * np.pi * T * d) / (np.pi * safe))
-    lhs = float(np.real(np.sum((b[:, np.newaxis] * np.conj(b[np.newaxis, :])) * kernel)))
+    lhs = _mean_square_integral(points.points, points.coeffs, T)
     rhs = (2.0 * T + 1.0 / eta) * correlation_points(points, eta)
     params = {"n": len(points), "T": T, "eta": eta, "Y": points.Y}
     return ReportRow("lemma21", "", params, lhs, rhs, lhs <= rhs * (1.0 + 1e-9), seed=seed)

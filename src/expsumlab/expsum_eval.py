@@ -14,7 +14,9 @@ bilinear pieces.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,8 +45,9 @@ class ExpSumInstance:
 
     coeff_a(h, m_array) returns the complex row for one h over the m block;
     coeff_b(n_array) returns the column over the n block.  Both must stay in
-    the closed unit disc.  mn_clip = (lo, hi) restricts the lattice to
-    lo < m*n <= hi (hyperbola mode); None means the full rectangle."""
+    the closed unit disc.  mn_clip = (lo, hi), two finite numbers with
+    lo < hi, restricts the lattice to lo < m*n <= hi (hyperbola mode); None
+    means the full rectangle."""
 
     H: int
     M: int
@@ -78,6 +81,12 @@ class ExpSumInstance:
             raise ValueError("K must be >= 1")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        clip = self.mn_clip
+        if clip is not None and not (
+                len(clip) == 2
+                and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in clip)
+                and clip[0] < clip[1]):
+            raise ValueError(f"mn_clip must be two finite numbers lo < hi, got {clip!r}")
 
     @property
     def regime_cap(self) -> float:
@@ -122,6 +131,12 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1) -> complex:
     """The triple sum, chunked per h with a fixed inner m-block order, so the
     result is bit-identical for any worker count.
 
+    Each row block of at most _INNER_TERMS lattice points is prepared once
+    and reused for every h: its denominators m^beta n^gamma + delta and,
+    under mn_clip, the mask of kept points.  Phases and exponentials are
+    taken only at the points that are summed, and the coefficient products
+    are formed in place in one block-sized array.
+
     The full phase product is reduced mod 1 in double precision; instances
     whose peak phase exceeds 2^46 are rejected rather than silently losing
     the fractional part.  Instances with more than DEFAULT_TERM_BUDGET
@@ -145,6 +160,38 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1) -> complex:
     row_block = max(1, _INNER_TERMS // N)
     clip = inst.mn_clip
 
+    # one block's data at a time: every h walks the blocks in the same order
+    @functools.lru_cache(maxsize=1)
+    def block(s):
+        """Rows [s, e): e, the denominators at the summed points, and under a
+        clip the kept mask and its complement (None without a clip)."""
+        e = s + min(row_block, M - s)
+        den = mpow[s:e, np.newaxis] * npow[np.newaxis, :] + inst.delta
+        if clip is None:
+            return e, den, None, None
+        prod = m[s:e, np.newaxis] * n[np.newaxis, :]
+        keep = (prod > clip[0]) & (prod <= clip[1])
+        return e, den[keep], keep, ~keep
+
+    def block_sum(ph, a_row, s):
+        e, den, keep, drop = block(s)
+        theta = ph / den
+        theta -= np.floor(theta)
+        z = np.multiply(2j * np.pi, theta)
+        np.exp(z, out=z)
+        if keep is None:
+            term = z
+        else:
+            term = np.zeros(keep.shape, dtype=np.complex128)
+            term[keep] = z
+        # a * (b * z) in this operand order: complex products are not
+        # bitwise commutative under numpy's vector loops
+        np.multiply(b[np.newaxis, :], term, out=term)
+        np.multiply(a_row[s:e, np.newaxis], term, out=term)
+        if drop is not None:
+            term[drop] = 0.0  # a clipped point adds +0, whatever the coefficients
+        return complex(term.sum())
+
     def h_chunk(lo, hi):
         total = 0.0 + 0.0j
         for ih in range(lo, hi):
@@ -152,14 +199,7 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1) -> complex:
             ph = c0 * float(h) ** inst.alpha
             a_row = _checked_coeffs(inst.coeff_a(h, m), f"coeff_a at h={h}")
             for s in range(0, M, row_block):
-                e = s + min(row_block, M - s)
-                theta = ph / (mpow[s:e, np.newaxis] * npow[np.newaxis, :] + inst.delta)
-                theta = theta - np.floor(theta)
-                term = a_row[s:e, np.newaxis] * (b[np.newaxis, :] * np.exp(2j * np.pi * theta))
-                if clip is not None:
-                    prod = m[s:e, np.newaxis] * n[np.newaxis, :]
-                    term = np.where((prod > clip[0]) & (prod <= clip[1]), term, 0.0)
-                total = total + complex(term.sum())
+                total = total + block_sum(ph, a_row, s)
         return total
 
     return complex(chunked_tree_sum(H, h_chunk, 1, workers))

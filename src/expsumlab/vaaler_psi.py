@@ -69,9 +69,13 @@ def vaaler_coefficients(H: int) -> np.ndarray:
 def psi_approx_many(xs, H: int) -> np.ndarray:
     """Degree-H approximation to psi_frac at every entry of xs."""
     c = vaaler_coefficients(H)
-    xs = np.asarray(xs, dtype=np.float64)
     h = np.arange(1, H + 1, dtype=np.float64)
-    return -np.sin(2.0 * np.pi * np.outer(xs, h)) @ c
+    # one len(xs) x H matrix, worked on in place; negating c rather than the
+    # result keeps every product, and so the sign of a zero sum, as in
+    # (-sin) @ c
+    t = np.outer(np.asarray(xs, dtype=np.float64), h)
+    t *= 2.0 * np.pi
+    return np.sin(t, out=t) @ -c
 
 
 def error_majorant_many(xs, H: int) -> np.ndarray:

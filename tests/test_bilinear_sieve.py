@@ -172,6 +172,25 @@ def test_lemma21_kernel_oracle():
     assert rep.lhs == pytest.approx(want, rel=1e-10)
 
 
+def test_lemma21_in_place_kernel_keeps_bits(peak_traced_bytes):
+    # against the kernel built with fresh temporaries and np.where; in place
+    # it holds at most one float and one complex n x n matrix at a time
+    rng = DetRand(47)
+    n = 600
+    y = rng.uniform_array(n, -3.0, 3.0)
+    y[::7] = y[0]  # repeated points put zeros off the diagonal too
+    pts = bs.PointSet(points=y, coeffs=np.array([rng.complex_in_disc() for _ in range(n)]),
+                      Y=3.0)
+    T = 2.3
+    b = pts.coeffs
+    d = y[:, np.newaxis] - y[np.newaxis, :]
+    safe = np.where(d == 0.0, 1.0, d)
+    kernel = np.where(d == 0.0, 2.0 * T, np.sin(2.0 * np.pi * T * d) / (np.pi * safe))
+    want = float(np.real(np.sum((b[:, np.newaxis] * np.conj(b[np.newaxis, :])) * kernel)))
+    assert bs.lemma21_check(pts, T=T, eta=0.05).lhs.hex() == want.hex()
+    assert peak_traced_bytes(lambda: bs.lemma21_check(pts, T=T, eta=0.05)) <= 2 * 16 * n * n
+
+
 def test_lemma21_randomized_battery():
     for i in range(50):
         rng = DetRand(100 + i)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from expsumlab.arith_core import chunked_tree_sum
 from expsumlab.errors import CapacityError, RejectedInstanceError
 from expsumlab.expsum_eval import (
+    _INNER_TERMS,
     Bound,
     ExpSumInstance,
     bound_value,
@@ -100,6 +102,96 @@ def test_worker_bit_identity():
     assert s1 == s2 == s8
 
 
+def _eval_whole_block(inst):
+    """The evaluator's earlier loop: per h and row block, the phase and the
+    exponential over the whole block, then np.where zeroes the clipped
+    points."""
+    H, M, N = inst.H, inst.M, inst.N
+    m = np.arange(M + 1, 2 * M + 1, dtype=np.int64)
+    n = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+    mpow = m.astype(np.float64) ** inst.beta
+    npow = n.astype(np.float64) ** inst.gamma
+    c0 = inst.X * M ** inst.beta * N ** inst.gamma / H ** inst.alpha
+    b = np.asarray(inst.coeff_b(n), dtype=np.complex128)
+    row_block = max(1, _INNER_TERMS // N)
+    clip = inst.mn_clip
+
+    def h_chunk(lo, hi):
+        total = 0.0 + 0.0j
+        for ih in range(lo, hi):
+            h = H + 1 + ih
+            ph = c0 * float(h) ** inst.alpha
+            a_row = np.asarray(inst.coeff_a(h, m), dtype=np.complex128)
+            for s in range(0, M, row_block):
+                e = s + min(row_block, M - s)
+                theta = ph / (mpow[s:e, np.newaxis] * npow[np.newaxis, :] + inst.delta)
+                theta = theta - np.floor(theta)
+                term = a_row[s:e, np.newaxis] * (b[np.newaxis, :] * np.exp(2j * np.pi * theta))
+                if clip is not None:
+                    prod = m[s:e, np.newaxis] * n[np.newaxis, :]
+                    term = np.where((prod > clip[0]) & (prod <= clip[1]), term, 0.0)
+                total = total + complex(term.sum())
+        return total
+
+    return complex(chunked_tree_sum(H, h_chunk, 1))
+
+
+def _four_block_instance(M=2048, clipped=False):
+    # N = 512 gives row blocks of _INNER_TERMS // 512 = 512 rows: 4 at M = 2048
+    return ExpSumInstance(
+        H=2, M=M, N=512, X=1e4, alpha=1.0, beta=1.0, gamma=1.0,
+        coeff_a=unimodular_coeff_a(3), coeff_b=unimodular_coeff_b(4), delta=0.5, K=1e6,
+        mn_clip=(600 * M, 1200 * M) if clipped else None)
+
+
+def _bit_cases():
+    regime = random_regime_instances(40, seed=11)
+    cases = {
+        "rectangle": build_floor_scenario(x=3e6, D=4000, delta=0.5, Hp=16, Hmax=32,
+                                          M=50, N=80),
+        "hyperbola": build_floor_scenario(x=3e6, D=4000, delta=1.0, Hp=8, Hmax=16,
+                                          M=50, N=80, mode="hyperbola"),
+        "regime_delta": next(i for i in regime if i.delta > 0 and i.H * i.M * i.N >= 4096),
+        "regime_delta0": next(i for i in regime if i.delta == 0 and i.H * i.M * i.N >= 4096),
+        "four_blocks": _four_block_instance(),
+        "four_blocks_clipped": _four_block_instance(clipped=True),
+    }
+    return cases
+
+
+_BIT_CASES = _bit_cases()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(_BIT_CASES))
+def test_prepared_blocks_keep_bits(case, workers):
+    # prepared denominators, exponentials at kept points only and in-place
+    # products must reproduce the whole-block loop bit for bit
+    inst = _BIT_CASES[case]
+    got, want = eval_exp_sum(inst, workers=workers), _eval_whole_block(inst)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_bit_cases_cover_clip_and_blocks():
+    hy = _BIT_CASES["hyperbola"]
+    assert 0 < lattice_count(hy) < hy.H * hy.M * hy.N
+    big = _BIT_CASES["four_blocks_clipped"]
+    assert big.M // (_INNER_TERMS // big.N) == 4
+    assert 0 < lattice_count(big) < big.H * big.M * big.N
+
+
+@pytest.mark.parametrize("clipped", [False, True])
+def test_memory_stays_one_row_block(clipped, peak_traced_bytes):
+    # a 512 x 512 block is 2 MiB of denominators and 4 MiB of complex terms;
+    # the whole-block loop peaked at 14.2 MiB unclipped and 16.2 MiB clipped,
+    # and keeping every block's data at once reads 18.2 and 21.1 MiB
+    peak = peak_traced_bytes(lambda: eval_exp_sum(_four_block_instance(clipped=clipped)))
+    assert peak <= (16.2 if clipped else 14.2) * 2 ** 20
+    doubled = peak_traced_bytes(
+        lambda: eval_exp_sum(_four_block_instance(M=4096, clipped=clipped)))
+    assert doubled <= 1.1 * peak
+
+
 def test_sum_bounded_by_lattice_count():
     for seed in (1, 2, 3):
         inst = _inst(seed=seed, H=2, M=8, N=8)
@@ -161,6 +253,16 @@ def test_instance_refuses_non_integer_block(field):
     inst = ExpSumInstance(**{**good, field: 2.0, "mn_clip": (1, 100)})
     assert type(getattr(inst, field)) is int
     assert eval_exp_sum(inst) == eval_exp_sum(ExpSumInstance(**{**good, field: 2, "mn_clip": (1, 100)}))
+
+
+@pytest.mark.parametrize("clip", [(math.nan, 50), (40, math.inf), (50, 40), (40, 40), (1, 2, 3)])
+def test_instance_refuses_bad_clip(clip):
+    # NaN once died in lattice_count's int(), inf overflowed there, and an
+    # empty range summed to 0 over 0 terms without a word
+    good = dict(H=1, M=4, N=4, X=2.0, alpha=1.0, beta=1.0, gamma=1.0,
+                coeff_a=constant_coeff_a(), coeff_b=constant_coeff_b())
+    with pytest.raises(ValueError, match="mn_clip must be two finite numbers lo < hi"):
+        ExpSumInstance(**good, mn_clip=clip)
 
 
 @pytest.mark.parametrize("field", ["X", "alpha", "beta", "gamma", "delta", "K", "epsilon"])

@@ -1,6 +1,5 @@
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,31 +303,15 @@ def test_windows_and_direct_bitwise_whole_array():
         assert got.hex() == _psi_window_whole_array(x + 0.5, 1, x, delta).hex()
 
 
-def _peak_traced_bytes(fn):
-    """Peak bytes tracemalloc sees during fn(), after one warm call."""
-    fn()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
-def test_summands_stay_chunk_sized():
+def test_summands_stay_chunk_sized(peak_traced_bytes):
     # the sieve table (8 bytes an entry) is the one full-length array; a
     # full-length temporary of the summands would add 8 bytes or more
     T = 2 * 10 ** 6
-    assert _peak_traced_bytes(lambda: fm.main_constant(T)) < 12 * T
-    assert _peak_traced_bytes(lambda: fm.frak_s(8.8e6, 10 ** 6, 0.5)) < 12 * 10 ** 6
+    assert peak_traced_bytes(lambda: fm.main_constant(T)) < 12 * T
+    assert peak_traced_bytes(lambda: fm.frak_s(8.8e6, 10 ** 6, 0.5)) < 12 * 10 ** 6
     # the direct sum holds one piece of Lambda (8 bytes an entry) at a time,
     # not the 80 MB of Lambda on [1, DIRECT_LIMIT]
-    assert _peak_traced_bytes(lambda: fm.s_lambda_direct(fm.DIRECT_LIMIT)) < 16 * fm._PIECE
+    assert peak_traced_bytes(lambda: fm.s_lambda_direct(fm.DIRECT_LIMIT)) < 16 * fm._PIECE
 
 
 def test_psi_window_precision_guard():

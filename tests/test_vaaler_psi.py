@@ -94,6 +94,23 @@ def test_psi_approx_odd_and_periodic():
         assert np.allclose(psi_approx_many(xs + 1.0, H), a, atol=1e-12)
 
 
+@pytest.mark.parametrize("H", [1, 7, 257, 999])
+def test_psi_approx_in_place_keeps_bits(H):
+    # one matrix scaled and sined in place, against the expression with
+    # fresh temporaries; the matvec is never split, so its rounding stays
+    xs = np.random.default_rng(H).uniform(-1.0, 2.0, 2000)
+    xs[::10] = np.round(xs[::10])
+    h = np.arange(1, H + 1, dtype=np.float64)
+    want = -np.sin(2.0 * np.pi * np.outer(xs, h)) @ vaaler_coefficients(H)
+    assert psi_approx_many(xs, H).tobytes() == want.tobytes()
+
+
+def test_psi_approx_memory_is_one_matrix(peak_traced_bytes):
+    # 2000 x 999 doubles; fresh temporaries peaked at twice that
+    xs = np.linspace(-1.0, 2.0, 2000)
+    assert peak_traced_bytes(lambda: psi_approx_many(xs, 999)) < 1.1 * 8 * 2000 * 999
+
+
 def test_majorant_frozen_values():
     for H in (1, 5, 50):
         assert error_majorant_many([0.0], H)[0] == pytest.approx(0.5, abs=1e-12)
