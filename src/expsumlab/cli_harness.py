@@ -57,6 +57,14 @@ _SOMETIMES_READ = {
             "X": 100.0, "delta": None, "mode": "endpoint"},
     "msum": {"method": "blocked"},
 }
+# the hashed settings that each run reads ("dio --kind" is a dio run with a
+# kind); the config_hash leaves out the ones a run does not read, which
+# cannot change its rows
+_SETTINGS_READ = {
+    "sieve": ("seed",), "psi": ("seed",), "dls": ("seed",), "dio": ("seed",),
+    "dio --kind": ("seed", "eps"), "vaughan": ("seed",), "msum": ("seed",),
+    "expsum": ("baseline",),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -107,10 +115,14 @@ def resolve_settings(args) -> None:
 
 
 def _config_digest(args) -> str:
-    """Every resolved setting and option but _UNHASHED; a baseline file
-    enters by the sha256 of its bytes, not by its path."""
-    payload = {k: v for k, v in vars(args).items() if k not in _UNHASHED}
-    if args.baseline:
+    """Every option and every setting the run reads (_SETTINGS_READ) but
+    _UNHASHED; a baseline file enters by the sha256 of its bytes, not by
+    its path."""
+    run = "dio --kind" if args.command == "dio" and args.kind else args.command
+    unread = set(SETTINGS) - set(_SETTINGS_READ.get(run, ()))
+    payload = {k: v for k, v in vars(args).items()
+               if k not in _UNHASHED and k not in unread}
+    if payload.get("baseline"):
         with open(args.baseline, "rb") as fh:
             payload["baseline"] = hashlib.sha256(fh.read()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -431,11 +431,24 @@ def test_hash_table_covers_every_option():
         assert covered == {a.dest for a in sub.choices[name]._actions} - {"help"}
 
 
-def _argv(name, extra=()):
-    """The base run of name, with extra flags after its own."""
+# a run that reads each top-level option: the "" entry's flags go before it
+_DIO_B3 = ["dio", "--kind", "B3", "--N", "4", "--X", "8"]
+SETTING_RUNS = {"seed": _DIO_B3, "eps": _DIO_B3, "baseline": ["expsum", "--count", "2"]}
+# the top-level options that each run reads; "dio all" is dio without --kind
+SETTINGS_READ = {"sieve": {"seed"}, "psi": {"seed"}, "dls": {"seed"},
+                 "expsum": {"baseline"}, "dio": {"seed", "eps"}, "dio B1": {"seed", "eps"},
+                 "dio all": {"seed"}, "vaughan": {"seed"}, "msum": {"seed"},
+                 "frak-s": set(), "fit": set()}
+
+
+def _argv(name, extra=(), dest="baseline"):
+    """The base run of name, with extra flags after its own; the "" entry's
+    flags run on SETTING_RUNS[dest]."""
+    if name == "dio all":
+        return ["dio", *extra]
     base, _ = HASH_RUNS[name]
     if name == "":
-        return [*base, *extra, "expsum", "--count", "2"]
+        return [*base, *extra, *SETTING_RUNS[dest]]
     return [_subcommand(name), *base, *extra]
 
 
@@ -458,7 +471,17 @@ def _hash(capsys, tmp_path, argv):
 def test_config_hash_covers_option(capsys, tmp_path, name, dest):
     # two runs that differ in one option never share a hash
     alt = HASH_RUNS[name][1][dest]
-    assert _hash(capsys, tmp_path, _argv(name)) != _hash(capsys, tmp_path, _argv(name, alt))
+    assert (_hash(capsys, tmp_path, _argv(name, dest=dest))
+            != _hash(capsys, tmp_path, _argv(name, alt, dest)))
+
+
+@pytest.mark.parametrize("name", list(SETTINGS_READ))
+def test_config_hash_leaves_out_unread_settings(capsys, tmp_path, name):
+    # a top-level option changes the hash of exactly the runs that read it
+    h = _hash(capsys, tmp_path, _argv(name))
+    for dest, alt in HASH_RUNS[""][1].items():
+        changed = _hash(capsys, tmp_path, [*alt, *_argv(name)]) != h
+        assert changed == (dest in SETTINGS_READ[name]), dest
 
 
 @pytest.mark.parametrize("name", list(HASH_RUNS))
@@ -476,15 +499,16 @@ def test_config_hash_ignores_print_settings(capsys, tmp_path, monkeypatch, name)
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (["dio"], "c0fefd1db32c2e8b"),
-    (["dio", "--kind", "B1", "--H", "4", "--M", "8", "--X", "32"], "bf032bf3acfbf59c"),
-    (["dio", "--kind", "B3", "--N", "4", "--X", "8"], "9b886b9bd8a1ed74"),
-    (["msum", "--x", "10", "--method", "direct"], "bbf3605ee247c9b2"),
-    (["msum", "--x", "1000"], "319a1026ec98ee7c"),
+    (["dio"], "1b7b6bccab870057"),
+    (["dio", "--kind", "B1", "--H", "4", "--M", "8", "--X", "32"], "f5072479e9370816"),
+    (["dio", "--kind", "B3", "--N", "4", "--X", "8"], "aa9a6dada309c0c0"),
+    (["msum", "--x", "10", "--method", "direct"], "91b607813c7948e1"),
+    (["msum", "--x", "1000"], "88b1c574fc549014"),
 ], ids=["dio", "dio-b1", "dio-b3", "msum-direct", "msum-blocked"])
 def test_config_hash_pinned(capsys, tmp_path, argv, digest):
     # the dio and msum options that only some runs read get their defaults
-    # after the parse, and hash as they did when argparse filled them in
+    # after the parse and are hashed with them; the top-level settings that
+    # a run does not read are left out
     assert _hash(capsys, tmp_path, argv) == digest
 
 

@@ -258,11 +258,13 @@ def test_direct_bitwise_whole_array():
 
 @pytest.mark.parametrize("piece", [1 << 16, 1 << 17, fm._PIECE])
 def test_direct_pieces_keep_bits(monkeypatch, piece):
-    # the first chunk's quotients, up to x, are sieved in pieces of one, two
-    # or 16 chunks' width, so at DIRECT_LIMIT it spans up to 153 pieces; the
-    # later chunks read the shared low range from x = 65537 on
+    # the first chunk's quotients below the lone ones are sieved in pieces of
+    # one, two or 16 chunks' width; the later chunks read the shared low
+    # range from x = 65537 on.  From x = 131073 on the quotient x // 1 stands
+    # alone, and from about 393216 on x // 2 as well.
     monkeypatch.setattr(fm, "_PIECE", piece)
-    for x in (1, 65536, 65537, 3 * 10 ** 6 + 17, fm.DIRECT_LIMIT):
+    for x in (1, 65536, 65537, *range(131071, 131075), *range(393210, 393231),
+              3 * 10 ** 6 + 17, fm.DIRECT_LIMIT):
         want = _direct_whole_array(x).hex()
         for workers in (1, 2):
             assert fm.s_lambda_direct(x, workers=workers).hex() == want, (x, workers)
@@ -275,6 +277,21 @@ def test_direct_small_pieces_keep_bits(monkeypatch, piece):
     monkeypatch.setattr(fm, "_PIECE", piece)
     for x in range(1, 1500, 7):
         assert fm.s_lambda_direct(x).hex() == _direct_whole_array(x).hex(), x
+
+
+@pytest.mark.parametrize("x, bound", [(10 ** 7, 1.0e6), (3428555, 0.6e6)])
+def test_direct_sieves_only_where_quotients_lie(monkeypatch, x, bound):
+    # a lone quotient is sieved as one integer, not as the piece it lies in;
+    # sieving every piece that holds a quotient costs 5.8e6 and 3.4e6
+    sieved = []
+
+    def counted(lo, hi):
+        sieved.append(hi - lo)
+        return arith_core.segment_sieve(lo, hi)
+
+    monkeypatch.setattr(fm, "segment_sieve", counted)
+    fm.s_lambda_direct(x)
+    assert sum(sieved) <= bound
 
 
 def test_direct_quotient_runs_match_gather():
@@ -312,6 +329,9 @@ def test_summands_stay_chunk_sized(peak_traced_bytes):
     # the direct sum holds one piece of Lambda (8 bytes an entry) at a time,
     # not the 80 MB of Lambda on [1, DIRECT_LIMIT]
     assert peak_traced_bytes(lambda: fm.s_lambda_direct(fm.DIRECT_LIMIT)) < 16 * fm._PIECE
+    # the blocked sum builds one n chunk of Lambda([x/n]) at a time; all
+    # isqrt(x) of them with their quotients would peak at 14.7 MiB
+    assert peak_traced_bytes(lambda: fm.s_lambda_blocked(10 ** 11)) < 8 * 2 ** 20
 
 
 def test_psi_window_precision_guard():
