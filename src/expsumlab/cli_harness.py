@@ -44,7 +44,6 @@ SETTINGS = {
     "format": (str, "csv"),
     "timing": (_parse_bool, False),
     "eps": (float, 0.1),
-    "baseline": (str, None),
 }
 # what the config_hash leaves out: how rows are printed, and where the
 # settings came from rather than what they are
@@ -63,7 +62,6 @@ _SOMETIMES_READ = {
 _SETTINGS_READ = {
     "sieve": ("seed",), "psi": ("seed",), "dls": ("seed",), "dio": ("seed",),
     "dio --kind": ("seed", "eps"), "vaughan": ("seed",), "msum": ("seed",),
-    "expsum": ("baseline",),
 }
 
 
@@ -116,15 +114,11 @@ def resolve_settings(args) -> None:
 
 def _config_digest(args) -> str:
     """Every option and every setting the run reads (_SETTINGS_READ) but
-    _UNHASHED; a baseline file enters by the sha256 of its bytes, not by
-    its path."""
+    _UNHASHED."""
     run = "dio --kind" if args.command == "dio" and args.kind else args.command
     unread = set(SETTINGS) - set(_SETTINGS_READ.get(run, ()))
     payload = {k: v for k, v in vars(args).items()
                if k not in _UNHASHED and k not in unread}
-    if payload.get("baseline"):
-        with open(args.baseline, "rb") as fh:
-            payload["baseline"] = hashlib.sha256(fh.read()).hexdigest()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -196,12 +190,7 @@ def _run_dls(args):
 
 
 def _run_expsum(args):
-    baseline = None
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-    return _suite_rows(args, suites.expsum_regression_suite, count=args.count,
-                       baseline=baseline)
+    return _suite_rows(args, suites.expsum_regression_suite, count=args.count)
 
 
 def _run_dio(args):
@@ -329,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "wall time divided by the battery's row count (output "
                         "is no longer byte-stable)")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--baseline", default=None,
-                   help="path to an alternative baseline file")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sieve", help="sieve consistency battery")

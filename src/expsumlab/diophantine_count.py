@@ -245,15 +245,19 @@ class DioResult:
     params: dict
 
 
+def _given(kind: str, params: dict) -> str:
+    return ", ".join(f"{k} = {params[k]!r}" for k in KIND_PARAMS[kind])
+
+
 def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
                spec: PerturbationSpec | None = None, **params) -> DioResult:
     """Count + bound + boundary tally in one record: the one way to count.
 
     params are exactly KIND_PARAMS[kind]; B2 and B3 also need a spec, B0
     and B1 take none.  A block size H, M or N must be an integer >= 1.  A
-    non-finite exponent, X or eps is refused (the spec refuses its own):
-    every comparison with NaN is false, so the count would read 0 and
-    pass."""
+    non-finite exponent, X or eps is refused (the spec refuses its own),
+    and so are parameters whose powers overflow a double: every comparison
+    with NaN is false, so the count would read 0 and pass."""
     if kind not in KIND_PARAMS:
         raise ValueError(f"unknown kind {kind!r}; use one of {', '.join(KIND_PARAMS)}")
     missing = [k for k in KIND_PARAMS[kind] if k not in params]
@@ -277,15 +281,23 @@ def dio_report(kind: str, *, eps: float = 0.1, mode: str = "endpoint",
     for name, value in checked.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
-    hi, lo, in_regime = _extrema(kind, mode, spec, params)
+    try:
+        # an overflow to inf is refused below, with the NaN it makes
+        with np.errstate(over="ignore", invalid="ignore"):
+            hi, lo, in_regime = _extrema(kind, mode, spec, params)
+        bound = dio_bound(kind, eps=eps, H=params.get("H"), M=params.get("M"),
+                          N=params.get("N"), X=params["X"])
+    except OverflowError:
+        raise ValueError(f"{kind}: a power overflows a double at "
+                         f"{_given(kind, params)}, eps = {eps!r}") from None
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        raise ValueError(f"{kind}: member values overflow a double at {_given(kind, params)}")
     threshold = 1.0 / params["X"]
     count = boundary = 0
     for _, d in sup_distance_blocks(hi, lo):
         count += int(np.count_nonzero(d <= threshold))
         d -= threshold  # |d - threshold| in place, on a block that is ours
         boundary += int(np.count_nonzero(np.abs(d, out=d) <= BOUNDARY_BAND))
-    bound = dio_bound(kind, eps=eps, H=params.get("H"), M=params.get("M"),
-                      N=params.get("N"), X=params["X"])
     echo = dict(params)
     if spec is not None:
         echo.update(beta_spec=spec.beta, delta=spec.delta, M_spec=spec.M, kind_spec=spec.kind,

@@ -301,7 +301,10 @@ def fraks_suite(x: float = 12345.678, d_values=(1000, 10000),
 def fit_suite(lo: int = 10 ** 4, hi: int = 10 ** 9, points: int = 12,
               slope_cap: float = 0.60) -> SuiteResult:
     """Error curve of the floor-ratio sum on a geometric grid and the
-    fitted log-log growth exponent."""
+    fitted log-log growth exponent.  A non-finite slope cap is refused: at
+    nan the gate reads failed, at inf it cannot fail."""
+    if not math.isfinite(slope_cap):
+        raise ValueError(f"--slope-cap must be a finite number, got {slope_cap!r}")
     grid = fm.geometric_grid(lo, hi, points)
     curve = fm.error_curve(grid)
     rows = []
@@ -347,27 +350,17 @@ def regression_instances(count: int = 24):
     return cases, insts
 
 
-def expsum_regression_suite(count: int = 24,
-                            baseline: dict | None = None) -> SuiteResult:
+def expsum_regression_suite(count: int = 24) -> SuiteResult:
     """|S| against the perturbation-aware bound on the frozen grid: the
-    ratio may not exceed the recorded baseline by more than the
+    ratio may not exceed the packaged baseline by more than the
     REGRESSION_DRIFT factor, and |S| may never exceed the number of lattice
-    points.  A baseline that is not an object of cases, lacks an entry for
-    some case or holds a non-number, is refused before any sum."""
-    if baseline is None:
-        baseline = load_baselines()
-    base = baseline.get("expsum_thm1", {}) if isinstance(baseline, dict) else None
-    if not isinstance(base, dict):
-        raise ValueError("the baseline must be a JSON object whose 'expsum_thm1' "
-                         "entry is an object of cases")
+    points.  A count beyond the recorded cases is refused before any sum."""
+    base = load_baselines()["expsum_thm1"]
     cases, insts = regression_instances(count=count)
     missing = [case for case in cases if case not in base]
     if missing:
         raise ValueError(f"the baseline has no entry for case {missing[0]!r} "
                          f"({len(missing)} of {len(cases)} cases missing)")
-    bad = [case for case in cases if type(base[case]) not in (int, float)]
-    if bad:
-        raise ValueError(f"the baseline entry for case {bad[0]!r} is not a number")
     rows = []
     for case, inst in zip(cases, insts):
         lhs = abs(ee.eval_exp_sum(inst))

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from expsumlab import suites
 from expsumlab.cli_harness import (
     ENV_PREFIX,
     _config_digest,
@@ -15,7 +16,6 @@ from expsumlab.cli_harness import (
     resolve_settings,
 )
 from expsumlab.diophantine_count import KIND_PARAMS
-from expsumlab.suites import load_baselines
 
 
 def _run(capsys, argv):
@@ -131,9 +131,6 @@ def test_runtime_error_exits_one(capsys):
 @pytest.mark.parametrize("argv, needle", [
     (["msum", "--x", "10000000000000"], "blocked budget"),
     (["expsum", "--count", "30"], "'rand_24'"),
-    (["--baseline", "PARTIAL", "expsum"], "'rand_05'"),
-    (["--baseline", "NOTOBJECT", "expsum"], "JSON object"),
-    (["--baseline", "TEXTENTRY", "expsum"], "'rand_03' is not a number"),
     (["frak-s", "--x", "1e30", "--d", "5"], "precision guard"),
     (["frak-s", "--x", "nan", "--d", "5"], "x must be a finite number"),
     (["frak-s", "--x", "100", "--d", "5", "--delta", "nan"],
@@ -185,8 +182,24 @@ def test_runtime_error_exits_one(capsys):
     (["dio", "--kind", "B1", "--N", "3"], "dio --kind B1 does not read --N"),
     (["dio", "--kind", "B1", "--mode", "endpoint"], "dio --kind B1 does not read --mode"),
     (["msum", "--method", "direct"], "msum without --x does not read --method"),
-], ids=["msum-budget", "expsum-count30", "expsum-partial-baseline",
-        "expsum-list-baseline", "expsum-text-entry", "frak-s-precision",
+    # n ** beta overflows to inf, and inf - inf is NaN, which never counts
+    (["dio", "--kind", "B0", "--N", "2", "--beta", "1000", "--X", "2"],
+     "B0: member values overflow a double at N = 2, beta = 1000.0, X = 2.0"),
+    (["dio", "--kind", "B1", "--H", "2", "--M", "2", "--alpha", "700", "--beta", "1",
+      "--X", "2"], "B1: member values overflow a double"),
+    (["dio", "--kind", "B1", "--H", "2", "--M", "2", "--alpha", "700", "--beta", "700",
+      "--X", "2"], "B1: member values overflow a double"),
+    # a Python float power raises OverflowError
+    (["dio", "--kind", "B0", "--N", "2", "--beta", "1e308", "--X", "2"],
+     "B0: a power overflows a double"),
+    (["--eps", "1e308", "dio", "--kind", "B0"], "eps = 1e+308"),
+    (["dio", "--kind", "B2", "--N", "4", "--X", "8", "--gamma", "1e308"],
+     "B2: a power overflows a double"),
+    (["dio", "--kind", "B3", "--N", "4", "--X", "8", "--gamma", "1e308"],
+     "B3: a power overflows a double"),
+    (["fit", "--slope-cap", "nan"], "--slope-cap must be a finite number, got nan"),
+    (["fit", "--slope-cap", "inf"], "--slope-cap must be a finite number, got inf"),
+], ids=["msum-budget", "expsum-count30", "frak-s-precision",
         "frak-s-nan", "frak-s-delta-nan", "sieve-window-wide",
         "sieve-limit1", "eps-nan", "eps-negative", "eps-inf", "eps-env-nan",
         "eps-file-nan", "expsum-count-neg",
@@ -198,21 +211,13 @@ def test_runtime_error_exits_one(capsys):
         "balance-range-zero-denominator", "dominate-range-zero-denominator",
         "dio-b3-beta-inf", "dio-b2-beta-inf", "config-bad-seed", "env-bad-eps",
         "dio-battery-n-mode", "dio-battery-delta", "dio-b3-h-alpha", "dio-b2-m",
-        "dio-b0-gamma-delta-mode", "dio-b1-n", "dio-b1-mode", "msum-battery-method"])
+        "dio-b0-gamma-delta-mode", "dio-b1-n", "dio-b1-mode", "msum-battery-method",
+        "dio-b0-nan-members", "dio-b1-nan-members", "dio-b1-nan-norm",
+        "dio-b0-beta-overflow", "dio-eps-overflow", "dio-b2-gamma-overflow",
+        "dio-b3-gamma-overflow", "fit-slope-cap-nan", "fit-slope-cap-inf"])
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_refused_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, needle):
-    from expsumlab.suites import load_baselines
-
-    partial = load_baselines()
-    del partial["expsum_thm1"]["rand_05"]
-    path = tmp_path / "partial.json"
-    path.write_text(json.dumps(partial))
-    text_entry = load_baselines()
-    text_entry["expsum_thm1"]["rand_03"] = "0.5"
-    files = {"PARTIAL": path, "NOTOBJECT": tmp_path / "list.json",
-             "TEXTENTRY": tmp_path / "text.json", "NANEPS": tmp_path / "eps.cfg",
-             "BADSEED": tmp_path / "seed.cfg"}
-    files["NOTOBJECT"].write_text("[1, 2]")
-    files["TEXTENTRY"].write_text(json.dumps(text_entry))
+    files = {"NANEPS": tmp_path / "eps.cfg", "BADSEED": tmp_path / "seed.cfg"}
     files["NANEPS"].write_text("eps = nan\n")
     files["BADSEED"].write_text("seed = abc\n")
     # leading NAME=value words set the environment, as on a shell line
@@ -238,53 +243,36 @@ def test_dio_underflowing_perturbation_counts(capsys):
 
 
 @pytest.mark.parametrize("via", ["flag", "file"])
-@pytest.mark.parametrize("workers", [0, -3])
-def test_workers_below_one_rejected(capsys, tmp_path, via, workers):
-    # the worker count is no longer a run setting: the flag is a usage error
-    # and the config key an unknown key
+@pytest.mark.parametrize("name, value, run", [
+    ("workers", "0", ["msum", "--x", "10"]),
+    ("workers", "-3", ["msum", "--x", "10"]),
+    ("capacity", "5000", ["frak-s", "--x", "12345.6", "--d", "1000"]),
+    ("baseline", "base.json", ["expsum", "--count", "2"]),
+], ids=["workers-0", "workers-neg3", "capacity", "baseline"])
+def test_retired_setting_is_refused(capsys, tmp_path, via, name, value, run):
+    # one worker count, one segment size and one expsum baseline serve every
+    # run, so none is a setting: the flag is a usage error and the config key
+    # an unknown key
     if via == "flag":
         with pytest.raises(SystemExit) as exc:
-            main(["--workers", str(workers), "msum", "--x", "10"])
+            main([f"--{name}", value, *run])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
     else:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"workers = {workers}\n")
-        rc, out, err = _run(capsys, ["--config", str(cfg), "msum", "--x", "10"])
+        cfg.write_text(f"{name} = {value}\n")
+        rc, out, err = _run(capsys, ["--config", str(cfg), *run])
         assert rc == 1
         assert out == ""
-        assert err.startswith("error:") and "unknown key 'workers'" in err
+        assert err.startswith("error:") and f"unknown key '{name}'" in err
 
 
-@pytest.mark.parametrize("via", ["flag", "file"])
-def test_capacity_is_not_a_setting(capsys, tmp_path, via):
-    # one segment size serves every sieve: the flag is a usage error and
-    # the config key an unknown key
-    if via == "flag":
-        with pytest.raises(SystemExit) as exc:
-            main(["--capacity", "5000", "frak-s", "--x", "12345.6", "--d", "1000"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("capacity = 5000\n")
-        rc, out, err = _run(capsys, ["--config", str(cfg), "frak-s",
-                                     "--x", "12345.6", "--d", "1000"])
-        assert rc == 1
-        assert out == ""
-        assert err.startswith("error:") and "unknown key 'capacity'" in err
-
-
-def test_failure_reported_on_stderr(capsys, tmp_path):
-    # an inflated baseline cannot fail; a zeroed one must
-    zeroed = {"version": 1, "seed": 20260801, "count": 24,
-              "expsum_thm1": {}}
-    from expsumlab.suites import load_baselines
-    base = load_baselines()
-    zeroed["expsum_thm1"] = {k: 0.0 for k in base["expsum_thm1"]}
-    path = tmp_path / "zero.json"
-    path.write_text(json.dumps(zeroed))
-    rc, out, err = _run(capsys, ["--baseline", str(path), "expsum"])
+def test_failure_reported_on_stderr(capsys, monkeypatch):
+    # the packaged baseline cannot fail; a zeroed one must
+    base = suites.load_baselines()
+    zeroed = {**base, "expsum_thm1": {k: 0.0 for k in base["expsum_thm1"]}}
+    monkeypatch.setattr(suites, "load_baselines", lambda: zeroed)
+    rc, out, err = _run(capsys, ["expsum"])
     assert rc == 1
     assert err.startswith("FAIL expsum/")
 
@@ -316,6 +304,7 @@ def test_env_coercion(monkeypatch):
     # not settings any more, so ignored
     monkeypatch.setenv(ENV_PREFIX + "WORKERS", "4")
     monkeypatch.setenv(ENV_PREFIX + "CAPACITY", "5000")
+    monkeypatch.setenv(ENV_PREFIX + "BASELINE", "base.json")
     over = env_overrides()
     assert over == {"timing": True, "eps": 0.25}
     monkeypatch.setenv(ENV_PREFIX + "TIMING", "maybe")
@@ -379,13 +368,12 @@ def test_version_flag(capsys):
 
 # One cheap run of every report subcommand, and for each of its options
 # (by argparse dest) flags that change it; argparse keeps the last value of
-# a repeated flag.  The "" entry holds the top-level options, run on expsum.
+# a repeated flag.  The "" entry holds the top-level options, each run on
+# SETTING_RUNS[dest].
 # A key's first word is the subcommand; "dio B1" is a second dio run for the
 # options that a B3 count does not read.
 HASH_RUNS = {
-    "": (["--baseline", "BASE"],
-         {"seed": ["--seed", "1"], "eps": ["--eps", "0.2"],
-          "baseline": ["--baseline", "INFLATED"]}),
+    "": ([], {"seed": ["--seed", "1"], "eps": ["--eps", "0.2"]}),
     "sieve": (["--limit", "1000", "--window", "100"],
               {"limit": ["--limit", "1001"], "window": ["--window", "101"]}),
     "psi": (["--count", "40"], {"count": ["--count", "41"]}),
@@ -433,15 +421,15 @@ def test_hash_table_covers_every_option():
 
 # a run that reads each top-level option: the "" entry's flags go before it
 _DIO_B3 = ["dio", "--kind", "B3", "--N", "4", "--X", "8"]
-SETTING_RUNS = {"seed": _DIO_B3, "eps": _DIO_B3, "baseline": ["expsum", "--count", "2"]}
+SETTING_RUNS = {"seed": _DIO_B3, "eps": _DIO_B3}
 # the top-level options that each run reads; "dio all" is dio without --kind
 SETTINGS_READ = {"sieve": {"seed"}, "psi": {"seed"}, "dls": {"seed"},
-                 "expsum": {"baseline"}, "dio": {"seed", "eps"}, "dio B1": {"seed", "eps"},
+                 "expsum": set(), "dio": {"seed", "eps"}, "dio B1": {"seed", "eps"},
                  "dio all": {"seed"}, "vaughan": {"seed"}, "msum": {"seed"},
                  "frak-s": set(), "fit": set()}
 
 
-def _argv(name, extra=(), dest="baseline"):
+def _argv(name, extra=(), dest="seed"):
     """The base run of name, with extra flags after its own; the "" entry's
     flags run on SETTING_RUNS[dest]."""
     if name == "dio all":
@@ -452,50 +440,38 @@ def _argv(name, extra=(), dest="baseline"):
     return [_subcommand(name), *base, *extra]
 
 
-def _hash(capsys, tmp_path, argv):
-    files = {"BASE": tmp_path / "base.json", "COPY": tmp_path / "copy.json",
-             "INFLATED": tmp_path / "inflated.json"}
-    base = load_baselines()
-    files["BASE"].write_text(json.dumps(base))
-    files["COPY"].write_text(json.dumps(base))
-    base["expsum_thm1"] = {k: 2 * v for k, v in base["expsum_thm1"].items()}
-    files["INFLATED"].write_text(json.dumps(base))
-    argv = [str(files.get(a, a)) for a in ["--format", "json", *argv]]
-    rc, out, _ = _run(capsys, argv)
+def _hash(capsys, argv):
+    rc, out, _ = _run(capsys, ["--format", "json", *argv])
     assert rc == 0
     return json.loads(out)["meta"]["config_hash"]
 
 
 @pytest.mark.parametrize("name, dest", HASH_CASES,
                          ids=[f"{_subcommand(n)}-{d}" for n, d in HASH_CASES])
-def test_config_hash_covers_option(capsys, tmp_path, name, dest):
+def test_config_hash_covers_option(capsys, name, dest):
     # two runs that differ in one option never share a hash
     alt = HASH_RUNS[name][1][dest]
-    assert (_hash(capsys, tmp_path, _argv(name, dest=dest))
-            != _hash(capsys, tmp_path, _argv(name, alt, dest)))
+    assert _hash(capsys, _argv(name, dest=dest)) != _hash(capsys, _argv(name, alt, dest))
 
 
 @pytest.mark.parametrize("name", list(SETTINGS_READ))
-def test_config_hash_leaves_out_unread_settings(capsys, tmp_path, name):
+def test_config_hash_leaves_out_unread_settings(capsys, name):
     # a top-level option changes the hash of exactly the runs that read it
-    h = _hash(capsys, tmp_path, _argv(name))
+    h = _hash(capsys, _argv(name))
     for dest, alt in HASH_RUNS[""][1].items():
-        changed = _hash(capsys, tmp_path, [*alt, *_argv(name)]) != h
+        changed = _hash(capsys, [*alt, *_argv(name)]) != h
         assert changed == (dest in SETTINGS_READ[name]), dest
 
 
 @pytest.mark.parametrize("name", list(HASH_RUNS))
 def test_config_hash_ignores_print_settings(capsys, tmp_path, monkeypatch, name):
-    h = _hash(capsys, tmp_path, _argv(name))
-    assert _hash(capsys, tmp_path, ["--timing", *_argv(name)]) == h
+    h = _hash(capsys, _argv(name))
+    assert _hash(capsys, ["--timing", *_argv(name)]) == h
     # a value from EXPSUMLAB_* or --config hashes as the same value given by flag
     monkeypatch.setenv(ENV_PREFIX + "SEED", "0")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("eps = 0.1\n")
-    assert _hash(capsys, tmp_path, ["--config", str(cfg), *_argv(name)]) == h
-    if name == "":
-        # a baseline enters by its bytes, not its path
-        assert _hash(capsys, tmp_path, _argv(name, ["--baseline", "COPY"])) == h
+    assert _hash(capsys, ["--config", str(cfg), *_argv(name)]) == h
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -504,12 +480,13 @@ def test_config_hash_ignores_print_settings(capsys, tmp_path, monkeypatch, name)
     (["dio", "--kind", "B3", "--N", "4", "--X", "8"], "aa9a6dada309c0c0"),
     (["msum", "--x", "10", "--method", "direct"], "91b607813c7948e1"),
     (["msum", "--x", "1000"], "88b1c574fc549014"),
-], ids=["dio", "dio-b1", "dio-b3", "msum-direct", "msum-blocked"])
-def test_config_hash_pinned(capsys, tmp_path, argv, digest):
+    (["expsum", "--count", "2"], "00dddd2c216a340d"),
+], ids=["dio", "dio-b1", "dio-b3", "msum-direct", "msum-blocked", "expsum"])
+def test_config_hash_pinned(capsys, argv, digest):
     # the dio and msum options that only some runs read get their defaults
     # after the parse and are hashed with them; the top-level settings that
     # a run does not read are left out
-    assert _hash(capsys, tmp_path, argv) == digest
+    assert _hash(capsys, argv) == digest
 
 
 def test_config_hash_ignores_format():
