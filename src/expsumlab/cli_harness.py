@@ -1,11 +1,10 @@
 """Command-line front end.
 
 One subcommand per component battery, plus single-evaluation modes and an
-exact-arithmetic expression calculator.  Configuration is resolved in the
-order defaults < config file < EXPSUMLAB_* environment variables < flags.
-Suite runs emit CSV or JSON rows on stdout and exit 0 exactly when every
-row passes; the first failing case is named on stderr.  A report with no
-rows is refused, since it checked nothing.
+exact-arithmetic expression calculator.  Suite runs emit CSV or JSON rows
+on stdout and exit 0 exactly when every row passes; the first failing case
+is named on stderr.  A report with no rows is refused, since it checked
+nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -25,29 +23,10 @@ from . import floor_mangoldt as fm
 from . import suites
 from .reports import ReportRow, rows_to_csv, rows_to_json
 
-ENV_PREFIX = "EXPSUMLAB_"
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-# every setting a --config file or an EXPSUMLAB_* variable may give:
-# name -> (coerce from text, default)
-SETTINGS = {
-    "seed": (int, 0),
-    "format": (str, "csv"),
-    "timing": (_parse_bool, False),
-    "eps": (float, 0.1),
-}
-# what the config_hash leaves out: how rows are printed, and where the
-# settings came from rather than what they are
-_UNHASHED = ("format", "timing", "config", "run")
+# the top-level settings that can change a run's rows
+_HASHED_SETTINGS = ("seed", "eps")
+# what the config_hash leaves out: how rows are printed, and the runner
+_UNHASHED = ("format", "timing", "run")
 # options that only some runs of a subcommand read, with their defaults.
 # They parse to None, so that _refuse_unread can refuse one given to a run
 # that does not read it before it fills in the defaults.
@@ -65,58 +44,11 @@ _SETTINGS_READ = {
 }
 
 
-def load_config_file(path: str) -> dict:
-    """key = value lines; # starts a comment; unknown keys are an error."""
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = SETTINGS[key][0](val.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return out
-
-
-def env_overrides() -> dict:
-    out = {}
-    for key, (coerce, _) in SETTINGS.items():
-        name = ENV_PREFIX + key.upper()
-        if name in os.environ:
-            try:
-                out[key] = coerce(os.environ[name])
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-    return out
-
-
-def resolve_settings(args) -> None:
-    """Write each setting onto args: the flag, else EXPSUMLAB_*, else the
-    --config file, else the default."""
-    from_file = load_config_file(args.config) if args.config else {}
-    from_env = env_overrides()
-    for key, (_, default) in SETTINGS.items():
-        if getattr(args, key) is None:
-            setattr(args, key, from_env.get(key, from_file.get(key, default)))
-    if args.format not in ("csv", "json"):
-        raise ValueError(f"format must be csv or json, got {args.format!r}")
-    if not 0 < args.eps < math.inf:
-        raise ValueError(f"eps must be a finite number > 0, got {args.eps!r}")
-
-
 def _config_digest(args) -> str:
     """Every option and every setting the run reads (_SETTINGS_READ) but
     _UNHASHED."""
     run = "dio --kind" if args.command == "dio" and args.kind else args.command
-    unread = set(SETTINGS) - set(_SETTINGS_READ.get(run, ()))
+    unread = set(_HASHED_SETTINGS) - set(_SETTINGS_READ.get(run, ()))
     payload = {k: v for k, v in vars(args).items()
                if k not in _UNHASHED and k not in unread}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -225,9 +157,6 @@ def _run_msum(args):
 
 
 def _run_fraks(args):
-    if args.check_decomposition:
-        return _suite_rows(args, suites.fraks_suite, x=args.x, d_values=(args.d,),
-                           delta=args.delta)
     value = fm.frak_s(args.x, args.d, args.delta)
     return [ReportRow("fraks", f"D{args.d}",
                       {"x": args.x, "D": args.d, "delta": args.delta}, value)]
@@ -310,14 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="expsumlab", allow_abbrev=False,
         description="verification batteries for perturbed exponential sums")
     p.add_argument("--version", action="version", version=__version__)
-    p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--timing", action="store_const", const=True, default=None,
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--timing", action="store_true",
                    help="fill the wall_time column: each row gets its battery's "
                         "wall time divided by the battery's row count (output "
                         "is no longer byte-stable)")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, default=0.1)
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sieve", help="sieve consistency battery")
@@ -364,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--delta", type=float, default=0.0)
-    s.add_argument("--check-decomposition", action="store_true")
     s.set_defaults(run=_run_fraks)
 
     s = sub.add_parser("fit", help="error curve and slope fit")
@@ -392,7 +319,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        resolve_settings(args)
+        if not 0 < args.eps < math.inf:
+            raise ValueError(f"eps must be a finite number > 0, got {args.eps!r}")
         if args.command == "expcalc":
             # prints expressions and its own verdict, not a report
             return _run_expcalc(args)

@@ -73,9 +73,6 @@ class PerturbationSpec:
     def U(self) -> float:
         return self.delta * float(self.M) ** (-self.beta)
 
-    def value(self, m) -> float:
-        return self.delta * float(m) ** (-self.beta)
-
     def values(self, ms) -> np.ndarray:
         return self.delta * np.asarray(ms, dtype=np.float64) ** (-self.beta)
 
@@ -92,18 +89,6 @@ def default_spec(kind: str, N: int, beta: float = 1.0,
     delta = DEFAULT_DELTAS[kind] if delta is None else delta
     return PerturbationSpec(beta=beta, delta=delta, M=N,
                             kind="mu" if kind == "B2" else "nu")
-
-
-def phi_pair(n_s: int, n_t: int, m: int, spec: PerturbationSpec, N: int, gamma: float) -> float:
-    """N^g/(n_s^g + mu(m)) - N^g/(n_t^g + mu(m))."""
-    mu = spec.value(m)
-    ng = float(N) ** gamma
-    return ng / (float(n_s) ** gamma + mu) - ng / (float(n_t) ** gamma + mu)
-
-
-def psi_single(n: int, m: int, spec: PerturbationSpec, N: int, gamma: float) -> float:
-    """N^g/(n^g + nu(m))."""
-    return float(N) ** gamma / (float(n) ** gamma + spec.value(m))
 
 
 def phi_pair_table(N: int, gamma: float, spec: PerturbationSpec, ms) -> np.ndarray:

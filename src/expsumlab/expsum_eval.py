@@ -6,7 +6,7 @@ The object is
         e( X * (M^beta N^gamma / H^alpha) * h^alpha / (m^beta n^gamma + delta) )
 
 over dyadic blocks (A, 2A], with |a|, |b| <= 1 and delta >= 0 a constant
-perturbation.  This module evaluates S deterministically, evaluates three
+perturbation.  This module evaluates S deterministically, evaluates two
 reference bound shapes against it, and builds the scenario instances that
 arise when the block sum of Lambda(d) psi(x/(d+delta)) is opened up into
 bilinear pieces.
@@ -35,7 +35,6 @@ _INNER_TERMS = 1 << 18
 
 class Bound(str, Enum):
     thm1 = "thm1"
-    rs06 = "rs06"
     lwy = "lwy"
 
 
@@ -213,8 +212,7 @@ def bound_value(inst: ExpSumInstance, which) -> float:
     """Numeric value of the selected bound shape, implied constant 1, with
     the instance's epsilon standing in for the arbitrarily small exponent.
 
-    thm1 is the perturbation-aware shape with its K-dependence; rs06 is the
-    delta = 0 literature shape that thm1 reduces to at K = 1; lwy is the
+    thm1 is the perturbation-aware shape with its K-dependence; lwy is the
     shape from the exponent pair (1/2, 1/2), valid for H <= M^{beta-1} N^gamma
     and 0 <= delta <= 1/epsilon."""
     which = Bound(which)
@@ -231,13 +229,6 @@ def bound_value(inst: ExpSumInstance, which) -> float:
             + (K * K / (H * M)) ** 0.25
             + (K / N) ** 0.5
             + K / X ** 0.5
-        )
-    if which is Bound.rs06:
-        return hmn_eps * (
-            (X / (H * M * N * N)) ** 0.25
-            + (H * M) ** -0.25
-            + N ** -0.5
-            + X ** -0.5
         )
     # lwy
     cap = M ** (inst.beta - 1.0) * N ** inst.gamma

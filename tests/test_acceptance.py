@@ -122,7 +122,6 @@ def test_c11_deterministic_reports():
         "dio": dict(),
         "vaughan": dict(d_values=(101,)),
         "msum": dict(random_count=4),
-        "fraks": dict(d_values=(1000,)),
         "expsum": dict(),
         "expcalc": dict(),
         "fit": dict(lo=10 ** 4, hi=10 ** 6, points=5),

@@ -1,20 +1,11 @@
 import argparse
 import json
 import math
-import os
 
 import pytest
 
 from expsumlab import suites
-from expsumlab.cli_harness import (
-    ENV_PREFIX,
-    _config_digest,
-    build_parser,
-    env_overrides,
-    load_config_file,
-    main,
-    resolve_settings,
-)
+from expsumlab.cli_harness import _config_digest, build_parser, main
 from expsumlab.diophantine_count import KIND_PARAMS
 
 
@@ -140,8 +131,6 @@ def test_runtime_error_exits_one(capsys):
     (["--eps", "nan", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
     (["--eps", "-1", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
     (["--eps", "inf", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
-    (["EXPSUMLAB_EPS=nan", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
-    (["--config", "NANEPS", "dio", "--kind", "B0"], "eps must be a finite number > 0"),
     (["expsum", "--count", "-1"], "--count must be >= 0"),
     (["expcalc", "substitute", "--assign", "E=x"], "needs --terms"),
     (["expcalc", "balance", "--range", "8/17:1/2"], "needs --terms"),
@@ -168,10 +157,6 @@ def test_runtime_error_exits_one(capsys):
      "beta must be a finite number"),
     (["dio", "--kind", "B2", "--N", "8", "--X", "8", "--beta", "inf"],
      "beta must be a finite number"),
-    (["--config", "BADSEED", "psi", "--count", "10"],
-     "seed.cfg:1: seed: invalid literal for int()"),
-    (["EXPSUMLAB_EPS=x", "psi", "--count", "10"],
-     "EXPSUMLAB_EPS: could not convert string to float: 'x'"),
     (["dio", "--N", "8", "--mode", "scan"], "dio without --kind does not read --N, --mode"),
     (["dio", "--delta", "0.2"], "dio without --kind does not read --delta"),
     (["dio", "--kind", "B3", "--N", "4", "--X", "8", "--H", "3", "--alpha", "5"],
@@ -199,33 +184,28 @@ def test_runtime_error_exits_one(capsys):
      "B3: a power overflows a double"),
     (["fit", "--slope-cap", "nan"], "--slope-cap must be a finite number, got nan"),
     (["fit", "--slope-cap", "inf"], "--slope-cap must be a finite number, got inf"),
+    # refused before the split or the points are computed
+    (["vaughan", "--d-list", "20000000"],
+     "segment length 20000000 exceeds segment capacity 16777216"),
+    (["psi", "--count", "1000000000"], "count 1000000000 exceeds the psi budget 10000000"),
 ], ids=["msum-budget", "expsum-count30", "frak-s-precision",
         "frak-s-nan", "frak-s-delta-nan", "sieve-window-wide",
-        "sieve-limit1", "eps-nan", "eps-negative", "eps-inf", "eps-env-nan",
-        "eps-file-nan", "expsum-count-neg",
+        "sieve-limit1", "eps-nan", "eps-negative", "eps-inf", "expsum-count-neg",
         "substitute-no-terms", "balance-no-terms", "dominate-no-a",
         "dominate-no-b", "dominate-no-range", "psi-count0", "psi-count-neg",
         "dls-count0", "dls-count-neg", "dio-alpha-nan", "dio-delta-nan",
         "dio-beta-nan", "dio-x-inf", "substitute-zero-denominator",
         "substitute-braced-zero-denominator", "assign-zero-denominator",
         "balance-range-zero-denominator", "dominate-range-zero-denominator",
-        "dio-b3-beta-inf", "dio-b2-beta-inf", "config-bad-seed", "env-bad-eps",
-        "dio-battery-n-mode", "dio-battery-delta", "dio-b3-h-alpha", "dio-b2-m",
+        "dio-b3-beta-inf", "dio-b2-beta-inf", "dio-battery-n-mode", "dio-battery-delta",
+        "dio-b3-h-alpha", "dio-b2-m",
         "dio-b0-gamma-delta-mode", "dio-b1-n", "dio-b1-mode", "msum-battery-method",
         "dio-b0-nan-members", "dio-b1-nan-members", "dio-b1-nan-norm",
         "dio-b0-beta-overflow", "dio-eps-overflow", "dio-b2-gamma-overflow",
-        "dio-b3-gamma-overflow", "fit-slope-cap-nan", "fit-slope-cap-inf"])
+        "dio-b3-gamma-overflow", "fit-slope-cap-nan", "fit-slope-cap-inf",
+        "vaughan-d-over-capacity", "psi-count-over-budget"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
-def test_refused_input_is_one_error_line(capsys, tmp_path, monkeypatch, argv, needle):
-    files = {"NANEPS": tmp_path / "eps.cfg", "BADSEED": tmp_path / "seed.cfg"}
-    files["NANEPS"].write_text("eps = nan\n")
-    files["BADSEED"].write_text("seed = abc\n")
-    # leading NAME=value words set the environment, as on a shell line
-    argv = list(argv)
-    while argv[0].startswith(ENV_PREFIX):
-        name, _, value = argv.pop(0).partition("=")
-        monkeypatch.setenv(name, value)
-    argv = [str(files.get(a, a)) for a in argv]
+def test_refused_input_is_one_error_line(capsys, argv, needle):
     rc, out, err = _run(capsys, argv)
     assert rc == 1
     assert out == ""
@@ -242,29 +222,33 @@ def test_dio_underflowing_perturbation_counts(capsys):
     assert len(out.splitlines()) == 2 and out.splitlines()[1].startswith("dio,B3,")
 
 
-@pytest.mark.parametrize("via", ["flag", "file"])
 @pytest.mark.parametrize("name, value, run", [
     ("workers", "0", ["msum", "--x", "10"]),
     ("workers", "-3", ["msum", "--x", "10"]),
     ("capacity", "5000", ["frak-s", "--x", "12345.6", "--d", "1000"]),
     ("baseline", "base.json", ["expsum", "--count", "2"]),
-], ids=["workers-0", "workers-neg3", "capacity", "baseline"])
-def test_retired_setting_is_refused(capsys, tmp_path, via, name, value, run):
+    ("config", "run.cfg", ["psi", "--count", "10"]),
+], ids=["workers-0-flag", "workers-neg3-flag", "capacity-flag", "baseline-flag",
+       "config-flag"])
+def test_retired_setting_is_refused(capsys, name, value, run):
     # one worker count, one segment size and one expsum baseline serve every
-    # run, so none is a setting: the flag is a usage error and the config key
-    # an unknown key
-    if via == "flag":
-        with pytest.raises(SystemExit) as exc:
-            main([f"--{name}", value, *run])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{name} = {value}\n")
-        rc, out, err = _run(capsys, ["--config", str(cfg), *run])
-        assert rc == 1
-        assert out == ""
-        assert err.startswith("error:") and f"unknown key '{name}'" in err
+    # run, and settings come from flags alone, so none of these is an
+    # option: each is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([f"--{name}", value, *run])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_shell_variables_change_no_output(capsys, monkeypatch):
+    # settings come from flags alone: the environment cannot turn a CSV
+    # into JSON or change the seed
+    argv = ["psi", "--count", "10"]
+    rc, want, _ = _run(capsys, argv)
+    assert rc == 0 and want.startswith("suite,case")
+    monkeypatch.setenv("EXPSUMLAB_FORMAT", "json")
+    monkeypatch.setenv("EXPSUMLAB_SEED", "9")
+    assert _run(capsys, argv) == (0, want, "")
 
 
 def test_failure_reported_on_stderr(capsys, monkeypatch):
@@ -275,62 +259,6 @@ def test_failure_reported_on_stderr(capsys, monkeypatch):
     rc, out, err = _run(capsys, ["expsum"])
     assert rc == 1
     assert err.startswith("FAIL expsum/")
-
-
-def test_config_file_layers(capsys, tmp_path, monkeypatch):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 7  # comment\n\nformat = json\n")
-    rc, out, _ = _run(capsys, ["--config", str(cfg), "psi", "--count", "40"])
-    assert rc == 0
-    data = json.loads(out)
-    assert data["rows"][0]["seed"] == 7
-
-    # env overrides the file
-    monkeypatch.setenv(ENV_PREFIX + "SEED", "9")
-    rc, out, _ = _run(capsys, ["--config", str(cfg), "psi", "--count", "40"])
-    data = json.loads(out)
-    assert data["rows"][0]["seed"] == 9
-
-    # flags override the env
-    rc, out, _ = _run(capsys, ["--config", str(cfg), "--seed", "3",
-                               "--format", "csv", "psi", "--count", "40"])
-    assert out.startswith("suite,case")
-    assert ",3," in out.splitlines()[1]
-
-
-def test_env_coercion(monkeypatch):
-    monkeypatch.setenv(ENV_PREFIX + "TIMING", "yes")
-    monkeypatch.setenv(ENV_PREFIX + "EPS", "0.25")
-    # not settings any more, so ignored
-    monkeypatch.setenv(ENV_PREFIX + "WORKERS", "4")
-    monkeypatch.setenv(ENV_PREFIX + "CAPACITY", "5000")
-    monkeypatch.setenv(ENV_PREFIX + "BASELINE", "base.json")
-    over = env_overrides()
-    assert over == {"timing": True, "eps": 0.25}
-    monkeypatch.setenv(ENV_PREFIX + "TIMING", "maybe")
-    with pytest.raises(ValueError):
-        env_overrides()
-
-
-def test_config_file_unknown_key(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("colour = blue\n")
-    with pytest.raises(ValueError, match="unknown key"):
-        load_config_file(str(bad))
-    bad.write_text("budget = 1000\n")
-    with pytest.raises(ValueError, match="unknown key 'budget'"):
-        load_config_file(str(bad))
-    nokv = tmp_path / "nokv.cfg"
-    nokv.write_text("just words\n")
-    with pytest.raises(ValueError, match="key = value"):
-        load_config_file(str(nokv))
-
-
-def test_missing_config_file_is_an_error(capsys, tmp_path):
-    rc, out, err = _run(capsys, ["--config", str(tmp_path / "none.cfg"),
-                                 "psi", "--count", "10"])
-    assert rc == 1
-    assert err.startswith("error:")
 
 
 def test_byte_identical_reruns(capsys):
@@ -389,15 +317,13 @@ HASH_RUNS = {
     "msum": (["--x", "10", "--method", "direct"],
              {"x": ["--x", "11"], "method": ["--method", "blocked"]}),
     "frak-s": (["--x", "12345.6", "--d", "1000", "--delta", "0.5"],
-               {"x": ["--x", "12345.7"], "d": ["--d", "999"], "delta": ["--delta", "0.7"],
-                "check_decomposition": ["--check-decomposition"]}),
+               {"x": ["--x", "12345.7"], "d": ["--d", "999"], "delta": ["--delta", "0.7"]}),
     "fit": (["--lo", "10000", "--hi", "1000000", "--points", "6", "--slope-cap", "0.7"],
             {"lo": ["--lo", "20000"], "hi": ["--hi", "2000000"], "points": ["--points", "7"],
              "slope_cap": ["--slope-cap", "0.8"]}),
 }
-# settings that change how rows are printed or where a value came from,
-# not which rows are computed
-UNHASHED = {"format", "timing", "config"}
+# settings that change how rows are printed, not which rows are computed
+UNHASHED = {"format", "timing"}
 
 
 def _subcommand(name):
@@ -464,14 +390,9 @@ def test_config_hash_leaves_out_unread_settings(capsys, name):
 
 
 @pytest.mark.parametrize("name", list(HASH_RUNS))
-def test_config_hash_ignores_print_settings(capsys, tmp_path, monkeypatch, name):
+def test_config_hash_ignores_print_settings(capsys, name):
     h = _hash(capsys, _argv(name))
     assert _hash(capsys, ["--timing", *_argv(name)]) == h
-    # a value from EXPSUMLAB_* or --config hashes as the same value given by flag
-    monkeypatch.setenv(ENV_PREFIX + "SEED", "0")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("eps = 0.1\n")
-    assert _hash(capsys, ["--config", str(cfg), *_argv(name)]) == h
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -494,12 +415,5 @@ def test_config_hash_ignores_format():
     digests = set()
     for fmt in ("csv", "json"):
         args = build_parser().parse_args(["--format", fmt, "psi", "--count", "40"])
-        resolve_settings(args)
         digests.add(_config_digest(args))
     assert len(digests) == 1
-
-
-def test_shell_settings_are_cleared():
-    # tests/conftest.py removes every EXPSUMLAB_* variable of the caller's
-    # shell, so no test sees them
-    assert not [name for name in os.environ if name.startswith(ENV_PREFIX)]

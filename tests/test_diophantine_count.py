@@ -14,9 +14,7 @@ from expsumlab.diophantine_count import (
     default_spec,
     dio_bound,
     dio_report,
-    phi_pair,
     phi_pair_table,
-    psi_single,
     psi_single_table,
     sup_distance_blocks,
 )
@@ -30,6 +28,26 @@ def _line():
 
 def _spec(delta=0.5, beta=1.0, M=4, kind="mu"):
     return PerturbationSpec(beta=beta, delta=delta, M=M, kind=kind)
+
+
+# scalar oracles of the member tables, one member value at a time
+
+
+def spec_value(spec: PerturbationSpec, m: int) -> float:
+    """delta * m^-beta."""
+    return spec.delta * float(m) ** (-spec.beta)
+
+
+def phi_pair(n_s: int, n_t: int, m: int, spec: PerturbationSpec, N: int, gamma: float) -> float:
+    """N^g/(n_s^g + mu(m)) - N^g/(n_t^g + mu(m))."""
+    mu = spec_value(spec, m)
+    ng = float(N) ** gamma
+    return ng / (float(n_s) ** gamma + mu) - ng / (float(n_t) ** gamma + mu)
+
+
+def psi_single(n: int, m: int, spec: PerturbationSpec, N: int, gamma: float) -> float:
+    """N^g/(n^g + nu(m))."""
+    return float(N) ** gamma / (float(n) ** gamma + spec_value(spec, m))
 
 
 def test_b0_hand_enumeration():

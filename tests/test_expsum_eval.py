@@ -276,18 +276,13 @@ def test_instance_refuses_non_finite(field):
             ExpSumInstance(**{**good, field: value})
 
 
-def test_rs06_hand_value():
-    inst = ExpSumInstance(H=1, M=1, N=1, X=4.0, alpha=1.0, beta=1.0, gamma=1.0,
-                          coeff_a=constant_coeff_a(), coeff_b=constant_coeff_b(),
-                          epsilon=1e-12)
-    want = math.sqrt(2.0) + 1.0 + 1.0 + 0.5
-    assert bound_value(inst, "rs06") == pytest.approx(want, rel=1e-9)
-
-
 def test_thm1_k1_delta0_matches_rs06():
+    # at K = 1, delta = 0 thm1 is the unperturbed literature shape (rs06)
     inst = _inst(delta=0.0, K=1.0)
-    assert bound_value(inst, "thm1") == pytest.approx(
-        bound_value(inst, "rs06"), rel=1e-12)
+    H, M, N, X = float(inst.H), float(inst.M), float(inst.N), inst.X
+    rs06 = (H * M * N) ** (1.0 + inst.epsilon) * (
+        (X / (H * M * N * N)) ** 0.25 + (H * M) ** -0.25 + N ** -0.5 + X ** -0.5)
+    assert bound_value(inst, "thm1") == pytest.approx(rs06, rel=1e-12)
 
 
 def test_thm1_hand_value_with_k():
@@ -303,8 +298,8 @@ def test_thm1_regime_rejection():
     assert not inst.thm1_regime_ok
     with pytest.raises(RejectedInstanceError, match="violated"):
         bound_value(inst, "thm1")
-    # other bounds ignore the regime
-    bound_value(inst, "rs06")
+    # lwy ignores thm1's regime
+    bound_value(inst, "lwy")
 
 
 def test_lwy_hand_value_and_rejections():
@@ -324,8 +319,10 @@ def test_lwy_hand_value_and_rejections():
 def test_bound_name_validation():
     with pytest.raises(ValueError):
         bound_value(_inst(), "nope")
-    assert Bound("rs06") is Bound.rs06
-    assert {b.value for b in Bound} == {"thm1", "rs06", "lwy"}
+    assert Bound("lwy") is Bound.lwy
+    assert {b.value for b in Bound} == {"thm1", "lwy"}
+    with pytest.raises(ValueError):
+        bound_value(_inst(), "rs06")
 
 
 def test_random_regime_instances_properties():

@@ -120,8 +120,6 @@ def test_no_local_package_imports(path):
 # Public names that no package module and no benchmark file reads, kept on
 # purpose; every other such name is dead code.
 UNREACHED_KEPT = {
-    "diophantine_count.phi_pair": "brute-force oracle of the B2 table tests",
-    "diophantine_count.psi_single": "brute-force oracle of the B3 table tests",
     "floor_mangoldt.r_delta": "the R_delta window sum, kept for the proof ledger",
     "suites.measure_baselines": "regenerates data/baselines.json",
 }

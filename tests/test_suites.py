@@ -43,10 +43,6 @@ def test_msum_suite_reduced():
     _assert_green(suites.msum_suite(random_count=5))
 
 
-def test_fraks_suite():
-    _assert_green(suites.fraks_suite(d_values=(1000,)))
-
-
 def test_exponent_suite():
     _assert_green(suites.exponent_suite())
 
@@ -66,7 +62,7 @@ def test_fit_suite_reduced():
 def test_registry_names_runnable():
     assert set(suites.ALL_SUITES) == {
         "sieve", "vaaler", "lemma21", "dls", "dio", "vaughan", "msum",
-        "fraks", "expsum", "expcalc", "fit",
+        "expsum", "expcalc", "fit",
     }
 
 
