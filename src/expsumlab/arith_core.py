@@ -84,7 +84,10 @@ def chunked_tree_sum(n: int, chunk_fn, chunk_size: int = CHUNK_SIZE, workers: in
 def psi_frac_many(t) -> np.ndarray:
     """Centered sawtooth {t} - 1/2 at every entry of t."""
     t = np.asarray(t, dtype=np.float64)
-    return t - np.floor(t) - 0.5
+    out = np.floor(t, out=np.empty(t.shape))  # the one temporary
+    np.subtract(t, out, out=out)
+    out -= 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +186,17 @@ def _prime_mask(start: int, hi: int, base) -> np.ndarray:
 
 def _prime_powers(base, lo: int, hi: int, log):
     """(p^k, log(p)) for the proper powers p^k, k >= 2, of the base primes
-    that fall in (lo, hi]; _prime_mask flags none of them."""
+    that fall in (lo, hi]; _prime_mask flags none of them.  log(p) is taken
+    only for a prime with such a power."""
     for p in base:
-        lp = log(p)
         pk = p * p
-        while pk <= hi:
-            if pk > lo:
-                yield pk, lp
+        while pk <= lo:
             pk *= p
+        if pk <= hi:
+            lp = log(p)
+            while pk <= hi:
+                yield pk, lp
+                pk *= p
 
 
 def segment_sieve(lo: int, hi: int) -> np.ndarray:

@@ -31,11 +31,15 @@ and the identity is exact for every g.  The bilinear tables extend to
 high, and the identity genuinely needs those entries (d = 1111 = 11 * 101 at
 D = 1000 requires n = 101 > D^{2/3} = 100).
 
-g must accept a numpy int64 array and return floats; it is only ever
-evaluated on (D, 2D].  g must be elementwise: its value at d depends on d
-alone, not on the other entries of the array or on the array's length,
-because the inner ranges of several m are concatenated and evaluated in
-one block (every g in this package is elementwise).
+g must accept a numpy int64 array and return one float per entry; it is
+only ever evaluated on (D, 2D], once per term m n.  S1 and S2 run over the
+same rows m <= C, and S3 and S4 over the same rows C < m, so one evaluation
+feeds both sums of a pair (S3's alpha4 is 1, so S3 sums the values as they
+are).  g must be elementwise: its value at d depends on d alone, not on the
+other entries of the array or on the array's length, because the inner
+ranges of several m are concatenated and evaluated in one block, and a run
+of rows of equal length is reduced as one 2-D array (every g in this
+package is elementwise).
 """
 
 from __future__ import annotations
@@ -127,54 +131,92 @@ def alpha_tables(D: int) -> AlphaTables:
                        alpha5=alpha5, alpha6=alpha6)
 
 
-def _row_sum(coeffs: np.ndarray, m: np.ndarray, n_lo: np.ndarray,
-             n_hi: np.ndarray, g, weight=None) -> float:
-    """math.fsum over the rows i with coeffs[i] != 0 and n_lo[i] <= n_hi[i]
-    of coeffs[i] times the row's np.sum of g(m[i] n) weight(n), n from
-    n_lo[i] to n_hi[i].
+def _values(g, d: np.ndarray) -> np.ndarray:
+    vals = np.asarray(g(d), dtype=np.float64)
+    if vals.shape != d.shape:
+        raise ValueError(f"g must return one value per entry, got shape {vals.shape} "
+                         f"for {len(d)} entries")
+    return vals
 
-    Rows are evaluated in blocks of CHUNK_SIZE terms (chunked_tree_sum's
-    chunk), so no temporary outgrows a block; g and weight must be
-    elementwise.  Consecutive short rows share a block: g and weight run
-    once over their concatenated terms, and each row's slice is reduced by
-    np.add.reduce (what np.sum calls), so a row sum keeps the bits of
-    np.sum over the row alone.  A longer row is evaluated block by block
-    into one reused buffer and reduced whole.
+
+def _pair_sums(plain: np.ndarray, weighted: np.ndarray, m: np.ndarray, n_lo: np.ndarray,
+               n_hi: np.ndarray, g, weight) -> tuple[float, float]:
+    """The two sums of a pair that share their rows, from one evaluation of
+    g per term.
+
+    Row i runs over n from n_lo[i] to n_hi[i]; its plain sum P_i is the
+    np.sum of g(m[i] n) and its weighted sum W_i the np.sum of
+    g(m[i] n) weight(n).  Returns the math.fsum of plain[i] P_i over the
+    rows with plain[i] != 0 and that of weighted[i] W_i over the rows with
+    weighted[i] != 0, both in increasing i; empty rows are skipped.
+
+    g and weight must be elementwise, g must return one value per entry
+    (ValueError otherwise), and weight a new array, which the kernel
+    multiplies in place.  Rows are evaluated in blocks of CHUNK_SIZE terms
+    (chunked_tree_sum's chunk), so no temporary outgrows a block.
+    Consecutive short rows share a block: g and weight run once over their
+    concatenated terms.  A run of k > 1 consecutive rows of equal length L
+    is reduced as one C-contiguous (k, L) array by np.add.reduce(axis=1),
+    which sums each row as np.sum sums that row alone, so every row sum
+    keeps the bits of np.sum over the row.  A row longer than a block is
+    evaluated block by block into one reused buffer, reduced, multiplied by
+    its weight in place and reduced again.
     np.add.reduceat is not used: it differs from np.sum in the last bit on
     most rows."""
-    keep = (coeffs != 0.0) & (n_lo <= n_hi)
-    coeffs, m, n_lo = coeffs[keep], m[keep], n_lo[keep]
+    keep = ((plain != 0.0) | (weighted != 0.0)) & (n_lo <= n_hi)
+    plain, weighted, m, n_lo = plain[keep], weighted[keep], m[keep], n_lo[keep]
     lengths = n_hi[keep] - n_lo + 1
     ends = np.cumsum(lengths)
-    sums = np.empty(len(m))
+    p_sums, w_sums = np.empty(len(m)), np.empty(len(m))
+    add = np.add.reduce
     buf = np.empty(0)
-
-    def terms(mm, n):
-        vals = np.asarray(g(mm * n), dtype=np.float64)
-        return vals if weight is None else vals * weight(n)
 
     i = 0
     while i < len(m):
         base = ends[i] - lengths[i]
         j = int(np.searchsorted(ends, base + CHUNK_SIZE, side="right"))
         if j == i:  # one row longer than a block
-            size = int(lengths[i])
+            size, lo, mi = int(lengths[i]), int(n_lo[i]), int(m[i])
             if len(buf) < size:
                 buf = np.empty(size)
-            for a in range(0, size, CHUNK_SIZE):
-                n = np.arange(n_lo[i] + a, n_lo[i] + min(a + CHUNK_SIZE, size), dtype=np.int64)
-                buf[a:a + len(n)] = terms(m[i], n)
-            sums[i] = np.add.reduce(buf[:size])
+            row = buf[:size]
+            spans = [(a, min(a + CHUNK_SIZE, size)) for a in range(0, size, CHUNK_SIZE)]
+            for a, b in spans:
+                row[a:b] = _values(g, np.arange(mi * (lo + a), mi * (lo + b), mi, dtype=np.int64))
+            p_sums[i] = add(row)
+            for a, b in spans:
+                row[a:b] *= weight(np.arange(lo + a, lo + b, dtype=np.int64))
+            w_sums[i] = add(row)
             j = i + 1
         else:
             rows = lengths[i:j]
             starts = ends[i:j] - base - rows
-            n = np.arange(ends[j - 1] - base, dtype=np.int64) + np.repeat(n_lo[i:j] - starts, rows)
-            vals = terms(np.repeat(m[i:j], rows), n)
-            for k, (s0, s1) in enumerate(zip(starts.tolist(), (starts + rows).tolist())):
-                sums[i + k] = np.add.reduce(vals[s0:s1])
+            n = np.repeat(n_lo[i:j] - starts, rows)
+            n += np.arange(len(n), dtype=np.int64)
+            d = np.repeat(m[i:j], rows)
+            d *= n
+            vals = _values(g, d)
+            wvals = weight(n)
+            wvals *= vals
+            breaks = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+            rows, starts = rows.tolist(), starts.tolist()
+            for r0, r1 in zip([0] + breaks, breaks + [j - i]):
+                k, size, s0 = r1 - r0, rows[r0], starts[r0]
+                s1 = s0 + k * size
+                if k == 1:
+                    p_sums[i + r0] = add(vals[s0:s1])
+                    w_sums[i + r0] = add(wvals[s0:s1])
+                else:
+                    add(vals[s0:s1].reshape(k, size), axis=1, out=p_sums[i + r0:i + r1])
+                    add(wvals[s0:s1].reshape(k, size), axis=1, out=w_sums[i + r0:i + r1])
         i = j
-    return math.fsum((coeffs * sums).tolist())
+    return (math.fsum((plain * p_sums)[plain != 0.0].tolist()),
+            math.fsum((weighted * w_sums)[weighted != 0.0].tolist()))
+
+
+def _log(n: np.ndarray) -> np.ndarray:
+    w = n.astype(np.float64)
+    return np.log(w, out=w)
 
 
 @dataclass(frozen=True)
@@ -200,13 +242,14 @@ def vaughan_split(D: int, g, tables: AlphaTables | None = None) -> VaughanSplit:
         raise ValueError(f"tables built for D={t.D}, not {D}")
     m = np.arange(1, t.cut + 1, dtype=np.int64)
     n_lo, n_hi = D // m + 1, (2 * D) // m
-    s1 = _row_sum(t.alpha1, m, n_lo, n_hi, g)
-    s2 = _row_sum(t.alpha2, m, n_lo, n_hi, g, lambda n: np.log(n.astype(np.float64)))
+    s1, s2 = _pair_sums(t.alpha1, t.alpha2, m, n_lo, n_hi, g, _log)
     m = np.arange(t.cut + 1, t.rough_hi + 1, dtype=np.int64)
     n_lo = np.maximum(t.cut, D // m) + 1
     n_hi = np.minimum(t.rough_hi, (2 * D) // m)
-    s3 = _row_sum(t.alpha3, m, n_lo, n_hi, g, lambda n: t.alpha4[n - t.cut - 1])
-    s4 = _row_sum(t.alpha5, m, n_lo, n_hi, g, lambda n: t.alpha6[n - t.cut - 1])
+    # S3's weight alpha4 is identically 1, and v * 1.0 == v bit for bit;
+    # lam[n] = alpha6(n) for n above the cut
+    lam = np.concatenate((np.zeros(t.cut + 1), t.alpha6))
+    s3, s4 = _pair_sums(t.alpha3, t.alpha5, m, n_lo, n_hi, g, lam.take)
     return VaughanSplit(D=D, cut=t.cut, s1=s1, s2=s2, s3=s3, s4=s4)
 
 
@@ -225,6 +268,8 @@ def frak_s_decomposed(x: float, D: int, delta: float) -> VaughanSplit:
     check_peak_quotient(x, D, delta)
 
     def g(d: np.ndarray) -> np.ndarray:
-        return psi_frac_many(x / (d.astype(np.float64) + delta))
+        t = d.astype(np.float64)
+        t += delta
+        return psi_frac_many(np.divide(x, t, out=t))
 
     return vaughan_split(D, g)

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from expsumlab import floor_mangoldt as fm
+from expsumlab import vaughan_decomp as vd
 from expsumlab.arith_core import psi_frac_many, sieve_mangoldt, sieve_mobius
 from expsumlab.errors import CapacityError
 from expsumlab.seeding import pair_uniform
@@ -154,8 +156,10 @@ def _weights(D):
     }
 
 
-# 1000 and 10000: many rows share a block; 99991: the m = 1 row spans two
-@pytest.mark.parametrize("D", [1000, 10000, 99991])
+# 1000 and 10000: many rows share a block; 99991: the m = 1 row spans two;
+# 300007: rows m <= 4 are longer than a block, and the rough side has long
+# runs of equal-length rows
+@pytest.mark.parametrize("D", [1000, 10000, 99991, 300007])
 @pytest.mark.parametrize("case", ["ones", "sawtooth", "pair_uniform"])
 def test_split_bitwise_whole_array(D, case):
     g = _weights(D)[case]
@@ -167,6 +171,80 @@ def test_split_bitwise_whole_array(D, case):
             _rough_whole_array(D, t.cut, t.rough_hi, t.alpha5, t.alpha6, g))
     got = (split.s1, split.s2, split.s3, split.s4)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("D", [1000, 300007])
+def test_every_row_sum_bitwise(D, monkeypatch):
+    # with every coefficient 1 the kernel hands each row's own sums to
+    # math.fsum, so every row sum, in a shared block, a run of equal-length
+    # rows or a row longer than a block, is compared with np.sum over the row
+    g = _weights(D)["sawtooth"]
+    t = alpha_tables(D)
+    handed = []
+    monkeypatch.setattr(vd, "math", SimpleNamespace(fsum=lambda xs: handed.append(xs) or 0.0))
+    lam = np.concatenate((np.zeros(t.cut + 1), t.alpha6))
+    sides = [(np.arange(1, t.cut + 1, dtype=np.int64), 1, 2 * D, vd._log),
+             (np.arange(t.cut + 1, t.rough_hi + 1, dtype=np.int64), t.cut, t.rough_hi, lam.take)]
+    for m, floor, top, weight in sides:
+        n_lo = np.maximum(floor, D // m) + 1
+        n_hi = np.minimum(top, (2 * D) // m)
+        ones = np.ones(len(m))
+        handed.clear()
+        vd._pair_sums(ones, ones, m, n_lo, n_hi, g, weight)
+        want_plain, want_weighted = [], []
+        for mm, lo, hi in zip(m.tolist(), n_lo.tolist(), n_hi.tolist()):
+            if lo <= hi:
+                n = np.arange(lo, hi + 1, dtype=np.int64)
+                vals = g(mm * n)
+                want_plain.append(np.sum(vals).hex())
+                want_weighted.append(np.sum(vals * weight(n)).hex())
+        assert [v.hex() for v in handed[0]] == want_plain
+        assert [v.hex() for v in handed[1]] == want_weighted
+
+
+def test_2d_reduce_matches_row_reduce():
+    # vaughan_split reduces a run of k equal-length rows as one C-contiguous
+    # (k, L) view into its out= slice; each row sum must keep the bits of the
+    # row's own reduce
+    rng = np.random.default_rng(23)
+    for L in [*range(1, 1100), 2047, 2048, 4097, 8191, 65535]:
+        for k in (2, 3, 17) if L < 4096 else (2, 3):
+            flat = rng.standard_normal(k * L + 1) * 10.0 ** rng.integers(-6, 7, k * L + 1)
+            rows = flat[1:].reshape(k, L)
+            want = [np.add.reduce(flat[1 + r * L:1 + (r + 1) * L]).hex() for r in range(k)]
+            out = np.empty(k + 1)
+            np.add.reduce(rows, axis=1, out=out[1:])
+            assert [v.hex() for v in out[1:]] == want, (L, k)
+
+
+@pytest.mark.parametrize("D", [101, 2000, 10 ** 6])
+def test_alpha4_is_one(D):
+    # S3 sums its plain row values: its weight alpha4 must be exactly 1
+    a4 = alpha_tables(D).alpha4
+    assert a4.dtype == np.float64 and np.all(a4 == 1.0)
+
+
+def test_one_g_evaluation_per_term():
+    # S1 and S2 share their rows, as do S3 and S4; the four sums separately
+    # would evaluate g on 10224256 entries
+    seen = []
+
+    def g(d):
+        seen.append(len(d))
+        return np.ones(len(d))
+
+    vaughan_split(10 ** 6, g)
+    assert sum(seen) == 6319607
+
+
+@pytest.mark.parametrize("D", [1000, 200000])
+@pytest.mark.parametrize("bad", ["scalar", "short"])
+def test_g_must_return_one_value_per_entry(D, bad):
+    def g(d):
+        return 0.25 if bad == "scalar" else np.full(len(d) - 1, 0.25)
+
+    with pytest.raises(ValueError, match="one value per entry"):
+        vaughan_split(D, g)
 
 
 def test_frak_s_decomposition_matches_direct():
