@@ -55,10 +55,15 @@ def _config_digest(args) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _emit(rows, args) -> int:
+def _emit(rows, args, wall: float) -> int:
+    """Print the rows; under --timing each row first gets the run's wall
+    time divided by the row count, not a time of its own."""
     suite_name = "fraks" if args.command == "frak-s" else args.command
     if not rows:
         raise ValueError(f"the {suite_name} report has no rows, so nothing was checked")
+    if args.timing:
+        for r in rows:
+            r.wall_time = wall / len(rows)
     meta = {
         "tool": "expsumlab",
         "version": __version__,
@@ -82,18 +87,6 @@ def _emit(rows, args) -> int:
 # subcommand runners: each returns its report's rows
 
 
-def _suite_rows(args, suite, **kwargs) -> list:
-    """Rows of one suite call.  Under --timing every row gets the call's wall
-    time divided by its row count, not a time of its own."""
-    t0 = time.perf_counter()
-    rows = suite(**kwargs).rows
-    if args.timing:
-        wall = time.perf_counter() - t0
-        for r in rows:
-            r.wall_time = wall / len(rows)
-    return rows
-
-
 def _refuse_unread(args, reads, run: str) -> None:
     """Refuse the options of _SOMETIMES_READ[args.command] that were given
     but that this run does not read; then fill in the defaults of the rest."""
@@ -108,27 +101,26 @@ def _refuse_unread(args, reads, run: str) -> None:
 
 
 def _run_sieve(args):
-    return _suite_rows(args, suites.sieve_suite, seed=args.seed, limit=args.limit,
-                       window=args.window)
+    return suites.sieve_suite(seed=args.seed, limit=args.limit, window=args.window).rows
 
 
 def _run_psi(args):
-    return _suite_rows(args, suites.vaaler_suite, seed=args.seed, count=args.count)
+    return suites.vaaler_suite(seed=args.seed, count=args.count).rows
 
 
 def _run_dls(args):
-    return (_suite_rows(args, suites.lemma21_suite, seed=args.seed, count=args.count)
-            + _suite_rows(args, suites.dls_suite, seed=args.seed, count=args.count))
+    return (suites.lemma21_suite(seed=args.seed, count=args.count).rows
+            + suites.dls_suite(seed=args.seed, count=args.count).rows)
 
 
 def _run_expsum(args):
-    return _suite_rows(args, suites.expsum_regression_suite, count=args.count)
+    return suites.expsum_regression_suite(count=args.count).rows
 
 
 def _run_dio(args):
     if not args.kind:
         _refuse_unread(args, (), "dio without --kind")
-        return _suite_rows(args, suites.dio_suite, seed=args.seed)
+        return suites.dio_suite(seed=args.seed).rows
     kind = args.kind
     # a B2 or B3 count also reads its perturbation spec and scan mode
     spec_reads = ("beta", "delta", "mode") if kind in dc.DEFAULT_DELTAS else ()
@@ -141,13 +133,13 @@ def _run_dio(args):
 
 def _run_vaughan(args):
     d_values = tuple(int(v) for v in args.d_list.split(","))
-    return _suite_rows(args, suites.vaughan_suite, seed=args.seed, d_values=d_values)
+    return suites.vaughan_suite(seed=args.seed, d_values=d_values).rows
 
 
 def _run_msum(args):
     _refuse_unread(args, () if args.x is None else ("method",), "msum without --x")
     if args.x is None:
-        return _suite_rows(args, suites.msum_suite, seed=args.seed)
+        return suites.msum_suite(seed=args.seed).rows
     if args.method == "direct":
         value = fm.s_lambda_direct(args.x)
     else:
@@ -163,8 +155,8 @@ def _run_fraks(args):
 
 
 def _run_fit(args):
-    return _suite_rows(args, suites.fit_suite, lo=args.lo, hi=args.hi,
-                       points=args.points, slope_cap=args.slope_cap)
+    return suites.fit_suite(lo=args.lo, hi=args.hi, points=args.points,
+                            slope_cap=args.slope_cap).rows
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--timing", action="store_true",
-                   help="fill the wall_time column: each row gets its battery's "
-                        "wall time divided by the battery's row count (output "
-                        "is no longer byte-stable)")
+                   help="fill the wall_time column: each row gets the run's "
+                        "wall time divided by its row count (output is no "
+                        "longer byte-stable)")
     p.add_argument("--eps", type=float, default=0.1)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -324,7 +316,9 @@ def main(argv=None) -> int:
         if args.command == "expcalc":
             # prints expressions and its own verdict, not a report
             return _run_expcalc(args)
-        return _emit(args.run(args), args)
+        t0 = time.perf_counter()
+        rows = args.run(args)
+        return _emit(rows, args, time.perf_counter() - t0)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,10 @@ import math
 import numpy as np
 
 COEFF_TOL = 1e-9  # slack on the unit-modulus bound of a coefficient
+# the largest double reduced mod 1, by a sawtooth window's quotient x/(d+delta)
+# or by eval_exp_sum's phase: at 2^46 a double keeps 6 bits of the fractional
+# part, beyond it the reduction is rounding noise
+QUOTIENT_GUARD = 2.0 ** 46
 
 
 def check_peak(values, bound: float, what: str) -> None:
@@ -18,6 +22,24 @@ def check_peak(values, bound: float, what: str) -> None:
     peak = float(np.max(np.abs(values))) if np.size(values) else 0.0
     if not peak <= bound:
         raise ValueError(f"{what}: peak modulus {peak:.6g} is not within {bound:.6g}")
+
+
+def check_phase(peak: float, what: str) -> None:
+    """Refuse a run whose largest value reduced mod 1 (what names it: a
+    sawtooth window's quotient or a triple sum's phase) is not within
+    QUOTIENT_GUARD, rather than sum values the double cannot resolve.  A
+    NaN peak, from an overflowed inf/inf, is refused too."""
+    if not peak <= QUOTIENT_GUARD:
+        raise CapacityError(f"peak {what} {peak:.3g} exceeds the precision guard 2^46")
+
+
+def check_window(x: float, delta: float) -> None:
+    """Refuse a sawtooth window unless x is a finite number >= 3 and delta
+    a finite number >= 0."""
+    if not math.isfinite(x) or x < 3:
+        raise ValueError(f"x must be a finite number >= 3, got {x!r}")
+    if not math.isfinite(delta) or delta < 0:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
 
 
 def require_integer(name: str, value, least: int) -> int:

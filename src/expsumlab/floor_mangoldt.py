@@ -25,7 +25,7 @@ from .arith_core import (
     psi_frac_many,
     segment_sieve,
 )
-from .errors import CapacityError, DegenerateFitError, require_integer
+from .errors import CapacityError, DegenerateFitError, check_phase, check_window, require_integer
 
 DIRECT_LIMIT = 10 ** 7
 BLOCKED_LIMIT = 10 ** 12
@@ -33,10 +33,6 @@ BLOCKED_LIMIT = 10 ** 12
 # to isqrt(x) sieve one window of about BLOCKED_SPLIT * sqrt(x) integers
 BLOCKED_SPLIT = 32
 WINDOW_LIMIT = 10 ** 9
-# the largest double reduced mod 1, by a sawtooth window's quotient x/(d+delta)
-# or by eval_exp_sum's phase: at 2^46 a double keeps 6 bits of the fractional
-# part, beyond it the reduction is rounding noise
-QUOTIENT_GUARD = 2.0 ** 46
 # integers sieved at once by _sieved_sum and s_lambda_direct: 16 of
 # chunked_tree_sum's chunks, so a piece's partial in _sieved_sum is a whole
 # subtree of its segment's chunk tree
@@ -46,26 +42,6 @@ DEFAULT_BEST_T = 10 ** 8
 
 def _check_x(x) -> int:
     return require_integer("x", x, 1)
-
-
-def check_window(x: float, delta: float) -> None:
-    """Refuse a sawtooth window unless x is a finite number >= 3 and delta
-    a finite number >= 0."""
-    if not math.isfinite(x) or x < 3:
-        raise ValueError(f"x must be a finite number >= 3, got {x!r}")
-    if not math.isfinite(delta) or delta < 0:
-        raise ValueError(f"delta must be a finite number >= 0, got {delta!r}")
-
-
-def check_peak_quotient(x: float, lo: int, delta: float) -> None:
-    """Refuse a sawtooth window (lo, ...] whose largest quotient
-    x/(lo+1+delta) exceeds QUOTIENT_GUARD, rather than sum psi values the
-    double cannot resolve."""
-    peak = x / (lo + 1 + delta)
-    if peak > QUOTIENT_GUARD:
-        raise CapacityError(
-            f"peak quotient {peak:.3g} exceeds the precision guard 2^46"
-        )
 
 
 def _sieved_sum(lo: int, hi: int, term, workers: int = 1) -> float:
@@ -107,10 +83,10 @@ def s_lambda_direct(x: int, workers: int = 1) -> float:
     quotients lie in [1, x // (CHUNK_SIZE + 1)], one short range sieved once
     and shared.  The first chunk's quotients reach x: _first_chunk sieves
     each quotient that lies more than CHUNK_SIZE above the next one as a
-    single integer, and the pieces below the last of these that hold a
-    quotient whole: 833,345 integers at x = 10^7.  segment_sieve's values
-    do not depend on the segment bounds, so each chunk sums the values of a
-    full sieve, in order."""
+    single integer, and below the last of these pieces of at most _PIECE
+    integers, each topped by a quotient: 833,345 integers at x = 10^7.
+    segment_sieve's values do not depend on the segment bounds, so each
+    chunk sums the values of a full sieve, in order."""
     x = _check_x(x)
     if x > DIRECT_LIMIT:
         raise CapacityError(
@@ -130,30 +106,24 @@ def s_lambda_direct(x: int, workers: int = 1) -> float:
 def _first_chunk(x: int, n_e: int) -> np.ndarray:
     """Lambda([x/n]) for n = 1 .. n_e, in one array.
 
-    A quotient q = x // n more than CHUNK_SIZE above the next, x // (n+1),
-    stands alone: it is sieved by itself, as the one integer of
-    segment_sieve(q - 1, q).  These are the smallest n, up to about
-    sqrt(x / CHUNK_SIZE).  From the first n whose quotient is not alone the
-    rest of the range, [x // n_e, x // n], is walked from the top down in
-    pieces (a, b] of at most _PIECE integers.  Each piece is one
-    segment_sieve and fills the terms of the n with
-    x // (b+1) < n <= x // (a+1); a piece that no n reads is not sieved.
-    So the integers sieved are the lone quotients and the pieces below the
-    last of them that hold a quotient."""
+    One walk fills it from n = 1 up, so from the top quotient down.  Each
+    step starts at q = x // n, the largest quotient not yet filled, sieves
+    one segment (a, q] and fills the terms of the n <= n_e with
+    x // (q+1) < n <= x // (a+1).  A quotient more than CHUNK_SIZE above
+    the next one, x // (n+1), stands alone and is sieved by itself,
+    a = q - 1; these are the smallest n, up to about sqrt(x / CHUNK_SIZE).
+    Otherwise the segment is a piece of at most _PIECE integers,
+    a = max(x // n_e - 1, q - _PIECE).  The next step starts at the largest
+    quotient not above a, so a stretch that no n reads is never sieved."""
     out = np.empty(n_e)
-    n = 1
-    while n < n_e and x // n - x // (n + 1) > CHUNK_SIZE:
-        q = x // n
-        out[n - 1] = segment_sieve(q - 1, q)[0]
-        n += 1
     q_e = x // n_e
-    b = x // n
-    while b >= q_e:
-        a = max(q_e - 1, b - _PIECE)
-        n_s, n_hi = x // (b + 1) + 1, min(x // (a + 1), n_e)
-        if n_s <= n_hi:
-            out[n_s - 1:n_hi] = _direct_terms(segment_sieve(a, b), a, x, n_s, n_hi)
-        b = a
+    n = 1
+    while n <= n_e:
+        q = x // n
+        a = q - 1 if q - x // (n + 1) > CHUNK_SIZE else max(q_e - 1, q - _PIECE)
+        n_hi = min(x // (a + 1), n_e)
+        out[n - 1:n_hi] = _direct_terms(segment_sieve(a, q), a, x, n, n_hi)
+        n = n_hi + 1
     return out
 
 
@@ -267,10 +237,10 @@ def best_constant(T: int = DEFAULT_BEST_T) -> MainConstant:
 def _psi_window_sum(x: float, lo: int, hi: int, delta: float) -> float:
     """sum_{lo < d <= hi} Lambda(d) psi(x/(d+delta)) in fixed segment order.
 
-    Refused by check_peak_quotient when the largest quotient is too large."""
+    Refused by check_phase when the largest quotient is too large."""
     if hi - lo > WINDOW_LIMIT:
         raise CapacityError(f"window length {hi - lo} exceeds {WINDOW_LIMIT}")
-    check_peak_quotient(x, lo, delta)
+    check_phase(x / (lo + 1 + delta), "quotient")
     return _sieved_sum(lo, hi, lambda lam, d: lam * psi_frac_many(x / (d + delta)))
 
 

@@ -52,8 +52,7 @@ import numpy as np
 
 from .arith_core import (CHUNK_SIZE, integer_kth_root, psi_frac_many, segment_sieve,
                          sieve_mangoldt, sieve_mobius)
-from .errors import require_integer
-from .floor_mangoldt import check_peak_quotient, check_window
+from .errors import check_phase, check_window, require_integer
 
 
 def vaughan_cut(D: int) -> int:
@@ -84,18 +83,6 @@ class AlphaTables:
     alpha4: np.ndarray
     alpha5: np.ndarray
     alpha6: np.ndarray
-
-    def alpha(self, k: int, n: int) -> float:
-        """alpha_k(n), zero outside the table's support."""
-        if not 1 <= k <= 6:
-            raise ValueError(f"k must be 1..6, got {k}")
-        table = (self.alpha1, self.alpha2, self.alpha3,
-                 self.alpha4, self.alpha5, self.alpha6)[k - 1]
-        if k <= 2:
-            return float(table[n - 1]) if 1 <= n <= self.cut else 0.0
-        if self.cut < n <= self.rough_hi:
-            return float(table[n - self.cut - 1])
-        return 0.0
 
 
 def alpha_tables(D: int) -> AlphaTables:
@@ -265,7 +252,7 @@ def frak_s_decomposed(x: float, D: int, delta: float) -> VaughanSplit:
     decomposition; .total must match the direct evaluation."""
     check_window(x, delta)
     D = _require_valid_d(D)
-    check_peak_quotient(x, D, delta)
+    check_phase(x / (D + 1 + delta), "quotient")
 
     def g(d: np.ndarray) -> np.ndarray:
         t = d.astype(np.float64)

@@ -288,6 +288,21 @@ def test_config_hash_ignores_timing(capsys):
     assert json.loads(three)["meta"]["config_hash"] != h1
 
 
+@pytest.mark.parametrize("argv", [
+    ["msum", "--x", "1000000"],
+    ["frak-s", "--x", "12345.6", "--d", "1000", "--delta", "0.5"],
+    ["dio", "--kind", "B0", "--N", "2", "--beta", "2", "--X", "100"],
+    ["dls", "--count", "3"],
+], ids=["msum-x", "frak-s", "dio-kind", "dls"])
+def test_timing_spreads_the_run_time_over_its_rows(capsys, argv):
+    # single-value rows carry their run's time too; dls times its lemma21
+    # and dls batteries as one run
+    rc, out, _ = _run(capsys, ["--format", "json", "--timing", *argv])
+    assert rc == 0
+    walls = {row["wall_time"] for row in json.loads(out)["rows"]}
+    assert len(walls) == 1 and walls.pop() > 0.0
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

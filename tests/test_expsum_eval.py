@@ -18,6 +18,7 @@ from expsumlab.expsum_eval import (
     unimodular_coeff_a,
     unimodular_coeff_b,
 )
+from expsumlab.vaughan_decomp import alpha_tables
 
 
 def constant_coeff_a(value: complex = 1.0):
@@ -211,6 +212,13 @@ def test_phase_guard():
                           coeff_b=constant_coeff_b())
     with pytest.raises(CapacityError, match="precision guard"):
         eval_exp_sum(inst)
+    # 3^700 overflows the denominators and 1e100 * 2^700 the scale, so the
+    # peak is inf/inf: a NaN, which would make every phase NaN
+    inst = ExpSumInstance(H=1, M=2, N=1, X=1e100, alpha=1.0, beta=700.0,
+                          gamma=1.0, coeff_a=constant_coeff_a(),
+                          coeff_b=constant_coeff_b())
+    with np.errstate(all="ignore"), pytest.raises(CapacityError, match="peak phase nan"):
+        eval_exp_sum(inst)
 
 
 def test_term_budget_guard():
@@ -353,6 +361,20 @@ def test_build_floor_scenario_truncated_tail_vanishes():
     inst = build_floor_scenario(x=10 ** 6, D=500, delta=0.0, Hp=16, Hmax=16,
                                 M=20, N=25)
     assert abs(eval_exp_sum(inst)) <= 1e-12
+
+
+def test_build_floor_scenario_zero_off_rough_support():
+    # at D = 1000 the rough support is (10, 181]: the m block (8, 16]
+    # starts below it and the n block (125, 250] ends above it
+    t = alpha_tables(1000)
+    assert (t.cut, t.rough_hi) == (10, 181)
+    inst = build_floor_scenario(x=1e5, D=1000, delta=0.0, Hp=1, Hmax=2, M=8, N=125)
+    m, n = np.arange(9, 17), np.arange(126, 251)
+    a, b = inst.coeff_a(2, m), inst.coeff_b(n)
+    on = m > t.cut
+    assert np.all(a[~on] == 0.0)
+    assert np.array_equal(a[on] != 0.0, t.alpha3[m[on] - t.cut - 1] != 0.0)
+    assert np.all(b[n > t.rough_hi] == 0.0) and np.all(b[n <= t.rough_hi] == 1.0)
 
 
 def test_build_floor_scenario_validation():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from expsumlab import arith_core
 from expsumlab import floor_mangoldt as fm
 from expsumlab.arith_core import chunked_tree_sum, mangoldt_point, sieve_mangoldt
-from expsumlab.errors import CapacityError, DegenerateFitError
+from expsumlab.errors import QUOTIENT_GUARD, CapacityError, DegenerateFitError
 from expsumlab.seeding import DetRand
 
 
@@ -336,9 +336,9 @@ def test_summands_stay_chunk_sized(peak_traced_bytes):
 
 def test_psi_window_precision_guard():
     # the largest quotient of the window is x/(lo+1+delta)
-    assert math.isfinite(fm.frak_s(fm.QUOTIENT_GUARD * 6.0, 5))
+    assert math.isfinite(fm.frak_s(QUOTIENT_GUARD * 6.0, 5))
     with pytest.raises(CapacityError, match="precision guard"):
-        fm.frak_s(fm.QUOTIENT_GUARD * 6.0 * (1 + 1e-12), 5)
+        fm.frak_s(QUOTIENT_GUARD * 6.0 * (1 + 1e-12), 5)
     with pytest.raises(CapacityError, match="precision guard"):
         fm.frak_s(1e30, 5, delta=0.5)
     with pytest.raises(CapacityError, match="precision guard"):

@@ -117,6 +117,43 @@ def test_no_local_package_imports(path):
     assert local_package_imports(path.read_text()) == []
 
 
+def package_imports(source: str) -> set:
+    """The package modules that source imports: relative imports (from .x
+    import y, from . import x) and absolute ones from expsumlab."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (".".join(filter(None, ("expsumlab", node.module))) if node.level
+                      else node.module or "")
+            names = ([f"expsumlab.{alias.name}" for alias in node.names]
+                     if module == "expsumlab" else [module])
+        else:
+            continue
+        found.update(n.split(".")[1] for n in names if n.startswith("expsumlab."))
+    return found
+
+
+def test_scan_sees_package_imports():
+    source = ("import numpy as np\nimport expsumlab.reports\nfrom . import suites as s\n"
+              "from .errors import check_phase\nfrom expsumlab import arith_core\n"
+              "from expsumlab.seeding import DetRand\n")
+    assert package_imports(source) == {"reports", "suites", "errors", "arith_core",
+                                       "seeding"}
+
+
+# floor_mangoldt is the floor-sum layer: the phase guard the kernels share
+# lives in errors, so only the front ends import it
+FLOOR_SUM_IMPORTERS = {"suites", "cli_harness"}
+
+
+def test_floor_sum_imported_only_by_front_ends():
+    importers = {p.stem for p in SRC.glob("*.py")
+                 if "floor_mangoldt" in package_imports(p.read_text())}
+    assert importers <= FLOOR_SUM_IMPORTERS
+
+
 # Public names that no package module and no benchmark file reads, kept on
 # purpose; every other such name is dead code.
 UNREACHED_KEPT = {

@@ -82,7 +82,7 @@ def test_timing_off_keeps_rows_deterministic(capsys):
     plain, again, timed = run(), run(), run("--timing")
     assert plain == again
     assert all(r["wall_time"] == "0.0" for r in plain)
-    # each timed row carries the battery's wall time over its row count
+    # each timed row carries the run's wall time over its row count
     walls = {r.pop("wall_time") for r in timed}
     assert len(walls) == 1 and float(walls.pop()) > 0.0
     assert timed == [{k: v for k, v in r.items() if k != "wall_time"} for r in plain]

@@ -7,7 +7,7 @@ import pytest
 from expsumlab import floor_mangoldt as fm
 from expsumlab import vaughan_decomp as vd
 from expsumlab.arith_core import psi_frac_many, sieve_mangoldt, sieve_mobius
-from expsumlab.errors import CapacityError
+from expsumlab.errors import QUOTIENT_GUARD, CapacityError
 from expsumlab.seeding import pair_uniform
 from expsumlab.vaughan_decomp import (
     alpha_tables,
@@ -53,30 +53,22 @@ def test_table_contents_brute_force():
     def lam(n):
         return float(lam_tab[n - 1])
 
+    assert len(t.alpha1) == len(t.alpha2) == cut
+    for table in (t.alpha3, t.alpha4, t.alpha5, t.alpha6):
+        assert len(table) == t.rough_hi - cut
     for m in range(1, cut + 1):
-        assert t.alpha(1, m) == pytest.approx(mu[m] * math.log(m), abs=1e-12)
-        assert t.alpha(2, m) == float(mu[m])
+        assert t.alpha1[m - 1] == pytest.approx(mu[m] * math.log(m), abs=1e-12)
+        assert t.alpha2[m - 1] == float(mu[m])
     for k in range(cut + 1, t.rough_hi + 1):
+        i = k - cut - 1
         conv = -sum(mu[a] * lam(b)
                     for a in range(1, cut + 1)
                     for b in range(1, cut + 1) if a * b == k)
-        assert t.alpha(3, k) == pytest.approx(conv, abs=1e-12), k
-        assert t.alpha(4, k) == 1.0
+        assert t.alpha3[i] == pytest.approx(conv, abs=1e-12), k
+        assert t.alpha4[i] == 1.0
         divs = -sum(mu[a] for a in range(1, cut + 1) if k % a == 0)
-        assert t.alpha(5, k) == pytest.approx(float(divs), abs=1e-12), k
-        assert t.alpha(6, k) == pytest.approx(lam(k), abs=1e-12)
-
-
-def test_alpha_support_and_validation():
-    t = alpha_tables(101)
-    assert t.cut == 4 and t.rough_hi == 40
-    assert t.alpha(3, 4) == 0.0  # below rough support
-    assert t.alpha(3, 41) == 0.0  # above rough support
-    assert t.alpha(1, 5) == 0.0  # above smooth support
-    with pytest.raises(ValueError):
-        t.alpha(0, 3)
-    with pytest.raises(ValueError):
-        t.alpha(7, 3)
+        assert t.alpha5[i] == pytest.approx(float(divs), abs=1e-12), k
+        assert t.alpha6[i] == pytest.approx(lam(k), abs=1e-12)
 
 
 def test_coefficient_growth():
@@ -87,12 +79,12 @@ def test_coefficient_growth():
     def divisors(n):
         return sum(1 for a in range(1, n + 1) if n % a == 0)
 
-    for k in (1, 2):
+    for k, table in ((1, t.alpha1), (2, t.alpha2)):
         for m in range(2, t.cut + 1):
-            assert abs(t.alpha(k, m)) <= divisors(m) * math.log(2 * m) + 1e-12
-    for k in (3, 4, 5, 6):
+            assert abs(table[m - 1]) <= divisors(m) * math.log(2 * m) + 1e-12, (k, m)
+    for k, table in ((3, t.alpha3), (4, t.alpha4), (5, t.alpha5), (6, t.alpha6)):
         for n in range(t.cut + 1, t.rough_hi + 1):
-            assert abs(t.alpha(k, n)) <= divisors(n) * math.log(2 * n) + 1e-12, (k, n)
+            assert abs(table[n - t.cut - 1]) <= divisors(n) * math.log(2 * n) + 1e-12, (k, n)
 
 
 def test_tables_reuse_and_mismatch():
@@ -268,8 +260,8 @@ def test_frak_s_decomposed_validation():
 
 def test_frak_s_decomposed_precision_guard():
     # the same window and the same refusal as frak_s
-    assert math.isfinite(frak_s_decomposed(fm.QUOTIENT_GUARD * 1001.0, 1000, 0.0).total)
-    for x, delta in ((1e30, 0.0), (fm.QUOTIENT_GUARD * 1001.0 * (1 + 1e-12), 0.0),
+    assert math.isfinite(frak_s_decomposed(QUOTIENT_GUARD * 1001.0, 1000, 0.0).total)
+    for x, delta in ((1e30, 0.0), (QUOTIENT_GUARD * 1001.0 * (1 + 1e-12), 0.0),
                      (1e30, 0.5)):
         with pytest.raises(CapacityError, match="precision guard"):
             fm.frak_s(x, 1000, delta)
