@@ -43,7 +43,7 @@ _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 # deterministic summation
 
 
-def _tree_reduce(parts):
+def tree_reduce(parts):
     """Fixed fan-in-2 reduction: pairs combined in index order, level by
     level.  The tree shape depends only on len(parts)."""
     parts = list(parts)
@@ -59,22 +59,24 @@ def _tree_reduce(parts):
     return parts[0]
 
 
-def chunked_tree_sum(n: int, chunk_fn, chunk_size: int = CHUNK_SIZE, workers: int = 1):
-    """Sum chunk_fn(lo, hi) over the fixed chunking of range(n).
-
-    The index range is cut into chunks of chunk_size; each chunk partial is
-    computed independently (possibly on worker threads) and the partials are
-    combined by _tree_reduce in chunk order.  Workers only change who
-    computes a chunk, never the reduction shape, so the result is
-    bit-identical for worker counts 1, 2, 8, ... with a fixed chunk size.
-    """
+def chunk_partials(n: int, chunk_fn, chunk_size: int = CHUNK_SIZE, workers: int = 1) -> list:
+    """chunk_fn(lo, hi) over the fixed chunking of range(n) into chunks of
+    chunk_size, in chunk order.  Each partial is computed independently,
+    on worker threads when workers > 1; workers only change who computes a
+    chunk, never its bounds or its place in the list."""
     chunks = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
     if workers <= 1 or len(chunks) <= 1:
-        parts = [chunk_fn(lo, hi) for lo, hi in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: chunk_fn(*c), chunks))
-    return _tree_reduce(parts)
+        return [chunk_fn(lo, hi) for lo, hi in chunks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda c: chunk_fn(*c), chunks))
+
+
+def chunked_tree_sum(n: int, chunk_fn, chunk_size: int = CHUNK_SIZE, workers: int = 1):
+    """Sum chunk_fn(lo, hi) over the fixed chunking of range(n): the
+    chunk_partials combined by tree_reduce in chunk order, so the result is
+    bit-identical for worker counts 1, 2, 8, ... with a fixed chunk size.
+    """
+    return tree_reduce(chunk_partials(n, chunk_fn, chunk_size, workers))
 
 
 # ---------------------------------------------------------------------------

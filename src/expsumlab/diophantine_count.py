@@ -24,7 +24,6 @@ tallied separately as boundary cases and surfaced in DioResult.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,19 +133,11 @@ def _scan_ms(spec: PerturbationSpec, mode: str) -> np.ndarray:
     return np.arange(spec.M + 1, 2 * spec.M + 1, dtype=np.int64)
 
 
-def _regime_warn(spec: PerturbationSpec, N: int, gamma: float, X: float) -> bool:
+def _in_regime(spec: PerturbationSpec, N: int, gamma: float, X: float) -> bool:
     """The counting bounds for B2/B3 are stated for X <= U^-1 N^gamma; outside
     that window the count is still reported but nothing is asserted.  A U
     that underflows to 0 leaves the window unbounded."""
-    if spec.U > 0 and X > float(N) ** gamma / spec.U:
-        # stacklevel 4 names dio_report's caller: _regime_warn < _extrema < dio_report
-        warnings.warn(
-            f"X = {X:.6g} outside supported window X <= U^-1 N^gamma "
-            f"= {float(N) ** gamma / spec.U:.6g}; count reported, bound not asserted",
-            stacklevel=4,
-        )
-        return False
-    return True
+    return not (spec.U > 0 and X > float(N) ** gamma / spec.U)
 
 
 def _check_tuples(what: str, tuples: int) -> None:
@@ -188,7 +179,7 @@ def _extrema(kind: str, mode: str, spec: PerturbationSpec | None,
         raise ValueError("need gamma > 0")
     tabulate, budget, power = _MEMBER_TABLES[kind]
     _check_tuples(budget, N ** power)
-    in_regime = _regime_warn(spec, N, gamma, X)
+    in_regime = _in_regime(spec, N, gamma, X)
     table = tabulate(N, gamma, spec, _scan_ms(spec, mode))
     return table.max(axis=1), table.min(axis=1), in_regime
 

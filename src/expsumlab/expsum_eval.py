@@ -14,7 +14,6 @@ bilinear pieces.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith_core import chunked_tree_sum
+from .arith_core import chunk_partials, tree_reduce
 from .errors import (COEFF_TOL, CapacityError, RejectedInstanceError, check_peak, check_phase,
                      require_integer)
 from .seeding import DetRand, pair_uniform
@@ -42,11 +41,12 @@ class Bound(str, Enum):
 class ExpSumInstance:
     """Full parameterization of one sum.
 
-    coeff_a(h, m_array) returns the complex row for one h over the m block;
-    coeff_b(n_array) returns the column over the n block.  Both must stay in
-    the closed unit disc.  mn_clip = (lo, hi), two finite numbers with
-    lo < hi, restricts the lattice to lo < m*n <= hi (hyperbola mode); None
-    means the full rectangle."""
+    coeff_a(h, m_array) returns the complex coefficients of one h at the
+    given m, one row block's run of the m block; coeff_b(n_array) returns
+    the column over the n block.  Both must stay in the closed unit disc.
+    mn_clip = (lo, hi), two finite numbers with lo < hi, restricts the
+    lattice to lo < m*n <= hi (hyperbola mode); None means the full
+    rectangle."""
 
     H: int
     M: int
@@ -86,6 +86,18 @@ class ExpSumInstance:
                 and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in clip)
                 and clip[0] < clip[1]):
             raise ValueError(f"mn_clip must be two finite numbers lo < hi, got {clip!r}")
+        # the largest powers that the sum and its bounds take; a Python float
+        # power past a double raises a bare OverflowError
+        for what, base, power in (("(2H)^alpha", 2 * self.H, self.alpha),
+                                  ("(2M)^beta", 2 * self.M, self.beta),
+                                  ("(2N)^gamma", 2 * self.N, self.gamma),
+                                  ("(HMN)^(1+epsilon)", self.H * self.M * self.N,
+                                   1.0 + self.epsilon),
+                                  ("X^epsilon", self.X, self.epsilon)):
+            try:
+                float(base) ** power
+            except OverflowError:
+                raise ValueError(f"{what} = {base}^{power:.6g} overflows a double") from None
 
     @property
     def regime_cap(self) -> float:
@@ -127,17 +139,18 @@ def _checked_coeffs(values, what: str) -> np.ndarray:
 
 
 def eval_exp_sum(inst: ExpSumInstance, workers: int = 1) -> complex:
-    """The triple sum, chunked per h with a fixed inner m-block order, so the
-    result is bit-identical for any worker count.
+    """The triple sum: one partial per h, summed over the m row blocks in a
+    fixed order, so the result is bit-identical for any worker count.
 
     The m block is cut into row blocks of at most _INNER_TERMS lattice
-    points, each prepared once per h: its denominators m^beta n^gamma +
-    delta and, under mn_clip, the mask of kept points.  An instance with one
-    row block (M <= _INNER_TERMS // N, as every suite and benchmark instance
-    is) prepares it once for every h; with more, the one-entry cache misses
-    on every block.  Phases and exponentials are taken only at the points
-    that are summed, and the coefficient products are formed in place in
-    one block-sized array.
+    points, walked outermost.  Each block's denominators m^beta n^gamma +
+    delta and, under mn_clip, its mask of kept points are prepared once;
+    then every h adds the block's sum to its own partial, and the h
+    partials are combined by tree_reduce.  Phases and exponentials are
+    taken only at the points that are summed, and the coefficient products
+    are formed in place in one block-sized array.  A clipped point's term
+    is a zero whose sign follows the coefficients; it can change a block
+    sum only in the sign of a zero, which a partial starting at +0 drops.
 
     The full phase product is reduced mod 1 in double precision; instances
     whose peak phase exceeds 2^46 are rejected rather than silently losing
@@ -157,50 +170,36 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1) -> complex:
     b = _checked_coeffs(inst.coeff_b(n), "coeff_b")
     row_block = max(1, _INNER_TERMS // N)
     clip = inst.mn_clip
-
-    # one block's data at a time: every h walks the blocks in the same order
-    @functools.lru_cache(maxsize=1)
-    def block(s):
-        """Rows [s, e): e, the denominators at the summed points, and under a
-        clip the kept mask and its complement (None without a clip)."""
-        e = s + min(row_block, M - s)
+    partials = [0.0 + 0.0j] * H
+    for s in range(0, M, row_block):
+        e = min(s + row_block, M)
         den = mpow[s:e, np.newaxis] * npow[np.newaxis, :] + inst.delta
-        if clip is None:
-            return e, den, None, None
-        prod = m[s:e, np.newaxis] * n[np.newaxis, :]
-        keep = (prod > clip[0]) & (prod <= clip[1])
-        return e, den[keep], keep, ~keep
+        keep = None
+        if clip is not None:
+            prod = m[s:e, np.newaxis] * n[np.newaxis, :]
+            keep = (prod > clip[0]) & (prod <= clip[1])
+            den = den[keep]
 
-    def block_sum(ph, a_row, s):
-        e, den, keep, drop = block(s)
-        theta = ph / den
-        theta -= np.floor(theta)
-        z = np.multiply(2j * np.pi, theta)
-        np.exp(z, out=z)
-        if keep is None:
-            term = z
-        else:
-            term = np.zeros(keep.shape, dtype=np.complex128)
-            term[keep] = z
-        # a * (b * z) in this operand order: complex products are not
-        # bitwise commutative under numpy's vector loops
-        np.multiply(b[np.newaxis, :], term, out=term)
-        np.multiply(a_row[s:e, np.newaxis], term, out=term)
-        if drop is not None:
-            term[drop] = 0.0  # a clipped point adds +0, whatever the coefficients
-        return complex(term.sum())
-
-    def h_chunk(lo, hi):
-        total = 0.0 + 0.0j
-        for ih in range(lo, hi):
+        def block_sum(ih, _):
             h = H + 1 + ih
-            ph = c0 * float(h) ** inst.alpha
-            a_row = _checked_coeffs(inst.coeff_a(h, m), f"coeff_a at h={h}")
-            for s in range(0, M, row_block):
-                total = total + block_sum(ph, a_row, s)
-        return total
+            a_row = _checked_coeffs(inst.coeff_a(h, m[s:e]), f"coeff_a at h={h}")
+            theta = c0 * float(h) ** inst.alpha / den
+            theta -= np.floor(theta)
+            z = np.multiply(2j * np.pi, theta)
+            np.exp(z, out=z)
+            if keep is None:
+                term = z
+            else:
+                term = np.zeros(keep.shape, dtype=np.complex128)
+                term[keep] = z
+            # a * (b * z) in this operand order: complex products are not
+            # bitwise commutative under numpy's vector loops
+            np.multiply(b[np.newaxis, :], term, out=term)
+            np.multiply(a_row[:, np.newaxis], term, out=term)
+            return complex(term.sum())
 
-    return complex(chunked_tree_sum(H, h_chunk, 1, workers))
+        partials = [p + q for p, q in zip(partials, chunk_partials(H, block_sum, 1, workers))]
+    return complex(tree_reduce(partials))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ def build_floor_scenario(x: float, D: int, delta: float, Hp: int, Hmax: int,
 
     def coeff_a(h, m):
         w = phi_h[h - Hp - 1]
-        return (w * a3).astype(np.complex128)
+        return (w * a3[m - M - 1]).astype(np.complex128)
 
     def coeff_b(n):
         return a4_c

@@ -16,7 +16,6 @@ At integer x the majorant takes its maximum value 1/2.
 
 from __future__ import annotations
 
-import functools
 import numbers
 
 import numpy as np
@@ -54,16 +53,12 @@ def vaaler_phi_many(t: np.ndarray) -> np.ndarray:
     return out
 
 
-# typed, so a cached int degree never answers for an equal float
-@functools.lru_cache(maxsize=None, typed=True)
 def vaaler_coefficients(H: int) -> np.ndarray:
-    """Read-only coefficients c_h = Phi(h/(H+1))/(pi h), h = 1..H, of the
-    degree-H sine polynomial; strictly positive and strictly decreasing."""
+    """Coefficients c_h = Phi(h/(H+1))/(pi h), h = 1..H, of the degree-H
+    sine polynomial; strictly positive and strictly decreasing."""
     _check_degree(H)
     h = np.arange(1, H + 1, dtype=np.float64)
-    c = vaaler_phi_many(h / (H + 1)) / (np.pi * h)
-    c.flags.writeable = False
-    return c
+    return vaaler_phi_many(h / (H + 1)) / (np.pi * h)
 
 
 def psi_approx_many(xs, H: int) -> np.ndarray:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -217,7 +216,7 @@ class VaughanSplit:
     s3: float
     s4: float
 
-    @cached_property
+    @property
     def total(self) -> float:
         return math.fsum((self.s1, self.s2, self.s3, self.s4))
 

@@ -47,8 +47,7 @@ def test_dio_single_count_params_follow_kind_table(capsys, kind):
     (["dio", "--kind", "B2", "--N", "4", "--X", "8"], "B2", "mode", "endpoint"),
     # B2's window at N = 4 ends at X = 53.3, so the default X = 100 lies
     # outside it: the count is printed but its bound is not asserted
-    pytest.param(["dio", "--kind", "B2"], "B2", "in_regime", False,
-                 marks=pytest.mark.filterwarnings("ignore:X = 100 outside supported window")),
+    (["dio", "--kind", "B2"], "B2", "in_regime", False),
     (["dio", "--kind", "B2", "--N", "8", "--X", "8"], "B2", "in_regime", True),
     (["dio", "--kind", "B3", "--N", "8", "--X", "8"], "B3", "in_regime", True),
     (["sieve", "--limit", "1000", "--window", "100"], "segment_agrees", "window", 100),
@@ -220,6 +219,16 @@ def test_dio_underflowing_perturbation_counts(capsys):
                                  "--beta", "1e308"])
     assert rc == 0 and err == ""
     assert len(out.splitlines()) == 2 and out.splitlines()[1].startswith("dio,B3,")
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_out_of_window_count_leaves_stderr_empty(capsys):
+    # B3's window at N = 1 ends below X = 8; the row's in_regime says so,
+    # and nothing else does
+    rc, out, err = _run(capsys, ["--format", "json", "dio", "--kind", "B3", "--N", "1",
+                                 "--X", "8"])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["rows"][0]["params"]["in_regime"] is False
 
 
 @pytest.mark.parametrize("name, value, run", [

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,15 @@ def _bit_cases():
         "regime_delta0": next(i for i in regime if i.delta == 0 and i.H * i.M * i.N >= 4096),
         "four_blocks": _four_block_instance(),
         "four_blocks_clipped": _four_block_instance(clipped=True),
+        # row blocks of 87381 rows: coeff_a is read on runs that start off
+        # any vector boundary
+        "two_uneven_blocks": ExpSumInstance(
+            H=2, M=100000, N=3, X=10.0, alpha=1.0, beta=1.0, gamma=1.0,
+            coeff_a=unimodular_coeff_a(5), coeff_b=unimodular_coeff_b(6), delta=0.5),
+        # coefficients zero on part of the m block: clipped terms a*(b*0)
+        # carry zeros of either sign
+        "hyperbola_zero_coeffs": build_floor_scenario(x=1e5, D=1000, delta=0.5, Hp=1, Hmax=2,
+                                                      M=8, N=125, mode="hyperbola"),
     }
     return cases
 
@@ -212,10 +222,11 @@ def test_phase_guard():
                           coeff_b=constant_coeff_b())
     with pytest.raises(CapacityError, match="precision guard"):
         eval_exp_sum(inst)
-    # 3^700 overflows the denominators and 1e100 * 2^700 the scale, so the
-    # peak is inf/inf: a NaN, which would make every phase NaN
-    inst = ExpSumInstance(H=1, M=2, N=1, X=1e100, alpha=1.0, beta=700.0,
-                          gamma=1.0, coeff_a=constant_coeff_a(),
+    # every power fits a double, but 3^490 * 3^490 overflows the
+    # denominators and 1e100 * 2^490 * 2^490 the scale, so the peak is
+    # inf/inf: a NaN, which would make every phase NaN
+    inst = ExpSumInstance(H=1, M=2, N=2, X=1e100, alpha=1.0, beta=490.0,
+                          gamma=490.0, coeff_a=constant_coeff_a(),
                           coeff_b=constant_coeff_b())
     with np.errstate(all="ignore"), pytest.raises(CapacityError, match="peak phase nan"):
         eval_exp_sum(inst)
@@ -282,6 +293,21 @@ def test_instance_refuses_non_finite(field):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):
             ExpSumInstance(**{**good, field: value})
+
+
+@pytest.mark.parametrize("fields, what", [
+    ({"beta": 1100.0, "M": 2}, "(2M)^beta"),
+    ({"alpha": 1100.0, "H": 2}, "(2H)^alpha"),
+    ({"epsilon": 200.0, "H": 4, "M": 4, "N": 4}, "(HMN)^(1+epsilon)"),
+    ({"epsilon": 2.0, "X": 1e200}, "X^epsilon"),
+], ids=["beta", "alpha", "epsilon", "x-epsilon"])
+def test_instance_refuses_overflowing_powers(fields, what):
+    # the sum or a bound takes each power with a Python float power, which
+    # raises a bare OverflowError past a double
+    good = dict(H=1, M=1, N=1, X=2.0, alpha=1.0, beta=1.0, gamma=1.0,
+                coeff_a=constant_coeff_a(), coeff_b=constant_coeff_b())
+    with pytest.raises(ValueError, match=re.escape(what) + " = .* overflows a double"):
+        ExpSumInstance(**{**good, **fields})
 
 
 def test_thm1_k1_delta0_matches_rs06():

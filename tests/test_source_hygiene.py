@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 reads a private name of another package module, imports a package module
-inside a function, or defines a public name that neither the package nor
-the benchmark reads."""
+inside a function, defines a public name that neither the package nor
+the benchmark reads, or caches a function other than best_constant."""
 
 import ast
 from pathlib import Path
@@ -251,3 +251,39 @@ def test_no_unread_dataclass_fields():
     others = [p.read_text() for p in sorted(PERFBENCH.rglob("*.py"))]
     others += [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unread_fields(package, list(package.values()) + others) == sorted(UNREAD_FIELDS_KEPT)
+
+
+CACHING_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def cached_functions(source: str) -> list:
+    """Functions and methods, at any depth, that a caching decorator wraps,
+    bare or called, as a bare name or as an attribute of functools."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")
+                if name in CACHING_DECORATORS:
+                    found.append(node.name)
+    return sorted(found)
+
+
+def test_scan_sees_cached_functions():
+    source = ("import functools\nfrom functools import cache, cached_property, lru_cache\n"
+              "@lru_cache(maxsize=4)\ndef a():\n    pass\n"
+              "@functools.cache\ndef b():\n    pass\n"
+              "class C:\n    @cached_property\n    def c(self):\n        pass\n"
+              "    @property\n    def d(self):\n        pass\n"
+              "def e():\n    @functools.lru_cache(maxsize=1)\n    def f():\n        pass\n"
+              "    return f\n")
+    assert cached_functions(source) == ["a", "b", "c", "f"]
+
+
+def test_only_best_constant_is_cached():
+    # a cache stays only where it pays: best_constant's spares each fit a
+    # 10^8 sieve
+    found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+             for name in cached_functions(p.read_text())]
+    assert found == ["floor_mangoldt.best_constant"]
