@@ -1,7 +1,8 @@
 """Arithmetic substrate shared by every evaluator.
 
 Provides a prime sieve, a Moebius sieve and one segmented Mangoldt sieve
-(Lambda on [1, limit] is the segment (0, limit]), all marking composites
+(Lambda on [1, limit] is the segment (0, limit]), dense or as the offsets
+and values of its nonzero entries, all marking composites
 with one blocked loop over the odd integers, whose multiples of 3, 5, 7, 11
 and 13 come stamped from a wheel pattern; Mangoldt values at sorted
 integers, pointwise prime-power detection good to 2^64, the centered
@@ -201,10 +202,11 @@ def _prime_powers(base, lo: int, hi: int, log):
                 pk *= p
 
 
-def segment_sieve(lo: int, hi: int) -> np.ndarray:
-    """Mangoldt values on the half-open block (lo, hi] of at most
-    DEFAULT_SEGMENT_CAPACITY integers, as a float64 array whose entry i is
-    Lambda(lo + 1 + i).  Needs base primes up to sqrt(hi) only."""
+def _segment_primes(lo: int, hi: int):
+    """(start, base, offsets, logs) for the block (lo, hi] of at most
+    DEFAULT_SEGMENT_CAPACITY integers, start = lo + 1: the base primes up
+    to sqrt(hi), the increasing offsets i of the odd primes start + i, and
+    their logs from one np.log call."""
     if lo < 0 or hi <= lo:
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
     n = hi - lo
@@ -218,17 +220,43 @@ def segment_sieve(lo: int, hi: int) -> np.ndarray:
     mask = _prime_mask(start, hi, base)
     if o0 == 1:
         mask[0] = False  # 1 is left set, but is no prime
-    offsets = 2 * np.flatnonzero(mask) + (o0 - start)  # of the odd primes
-    del mask  # free the mask before the values are filled
-    values = np.zeros(n)
-    if len(offsets):
-        logs = offsets + float(start)  # the primes, exact below 2^53
-        values[offsets] = np.log(logs, out=logs)
+    offsets = 2 * np.flatnonzero(mask) + (o0 - start)
+    del mask  # free the mask before the logs are taken
+    logs = offsets + float(start)  # the primes, exact below 2^53
+    return start, base, offsets, np.log(logs, out=logs)
+
+
+def segment_sieve(lo: int, hi: int) -> np.ndarray:
+    """Mangoldt values on the half-open block (lo, hi] of at most
+    DEFAULT_SEGMENT_CAPACITY integers, as a float64 array whose entry i is
+    Lambda(lo + 1 + i).  Needs base primes up to sqrt(hi) only."""
+    start, base, offsets, logs = _segment_primes(lo, hi)
+    values = np.zeros(hi - lo)
+    values[offsets] = logs
     if start <= 2 <= hi:
         values[2 - start] = np.log(2.0)
     for pk, lp in _prime_powers(base.tolist(), lo, hi, lambda p: np.log(float(p))):
         values[pk - start] = lp
     return values
+
+
+def segment_support(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of segment_sieve(lo, hi): their increasing int64
+    offsets i and their values Lambda(lo + 1 + i), each bitwise the
+    sieve's entry (the same logs of the odd primes, and the same scalar
+    np.log for 2 and the proper prime powers), without the dense array."""
+    start, base, offsets, logs = _segment_primes(lo, hi)
+    extra = [(pk - start, lp) for pk, lp in
+             _prime_powers(base.tolist(), lo, hi, lambda p: np.log(float(p)))]
+    if start <= 2 <= hi:
+        extra.append((2 - start, np.log(2.0)))
+    if extra:  # a few, each put before the first odd prime above it
+        extra.sort()
+        at, vals = zip(*extra)
+        where = np.searchsorted(offsets, at)
+        offsets = np.insert(offsets, where, at)
+        logs = np.insert(logs, where, vals)
+    return offsets, logs
 
 
 def mangoldt_many(vals) -> np.ndarray:

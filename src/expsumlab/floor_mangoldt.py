@@ -24,6 +24,7 @@ from .arith_core import (
     mangoldt_point,
     psi_frac_many,
     segment_sieve,
+    segment_support,
 )
 from .errors import CapacityError, DegenerateFitError, check_phase, check_window, require_integer
 
@@ -54,19 +55,29 @@ def _sieved_sum(lo: int, hi: int, term, workers: int = 1) -> float:
     pieces combines the piece partials, each the chunked_tree_sum of its
     piece's chunks.  A piece is an aligned group of 16 chunks, and the level
     tree of the whole segment is the tree of these group trees, so the split
-    keeps every bit.  Each chunk calls term on its own slice of the piece's
-    Lambda array and its own d (as float64, exact below 2^53), so no
-    temporary outgrows a chunk and no array a piece; term must be
-    elementwise."""
+    keeps every bit.
+
+    A piece holds only the support of Lambda (segment_support), and each
+    chunk calls term on its slice of it, with d as float64 (exact below
+    2^53), scattered into a zeroed chunk-length array that is summed as
+    the dense terms would be.  term must be elementwise and zero where
+    Lambda is zero; a dense term could be -0.0 there, and a nonzero term
+    absorbs a signed zero exactly, so a chunk partial can differ only in
+    the sign of a zero sum, which the segment's math.fsum drops."""
     capacity = arith_core.DEFAULT_SEGMENT_CAPACITY
     parts = []
     for seg_lo in range(lo, hi, capacity):
         def piece(a, b):
-            lam = segment_sieve(seg_lo + a, seg_lo + b)
+            offsets, lam = segment_support(seg_lo + a, seg_lo + b)
+            cuts = np.searchsorted(offsets, range(0, b - a + CHUNK_SIZE, CHUNK_SIZE)).tolist()
 
             def chunk(i, j):
-                d = np.arange(seg_lo + a + i + 1, seg_lo + a + j + 1, dtype=np.float64)
-                return term(lam[i:j], d).sum()
+                k0, k1 = cuts[i // CHUNK_SIZE], cuts[i // CHUNK_SIZE + 1]
+                off = offsets[k0:k1]
+                d = (off + (seg_lo + a + 1)).astype(np.float64)
+                terms = np.zeros(j - i)
+                terms[off - i] = term(lam[k0:k1], d)
+                return terms.sum()
 
             return chunked_tree_sum(b - a, chunk, workers=workers)
 

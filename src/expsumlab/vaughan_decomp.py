@@ -145,8 +145,7 @@ def _pair_sums(plain: np.ndarray, weighted: np.ndarray, m: np.ndarray, n_lo: np.
     is reduced as one C-contiguous (k, L) array by np.add.reduce(axis=1),
     which sums each row as np.sum sums that row alone, so every row sum
     keeps the bits of np.sum over the row.  A row longer than a block is
-    evaluated block by block into one reused buffer, reduced, multiplied by
-    its weight in place and reduced again.
+    summed by _long_row without being held whole.
     np.add.reduceat is not used: it differs from np.sum in the last bit on
     most rows."""
     keep = ((plain != 0.0) | (weighted != 0.0)) & (n_lo <= n_hi)
@@ -155,24 +154,14 @@ def _pair_sums(plain: np.ndarray, weighted: np.ndarray, m: np.ndarray, n_lo: np.
     ends = np.cumsum(lengths)
     p_sums, w_sums = np.empty(len(m)), np.empty(len(m))
     add = np.add.reduce
-    buf = np.empty(0)
 
     i = 0
     while i < len(m):
         base = ends[i] - lengths[i]
         j = int(np.searchsorted(ends, base + CHUNK_SIZE, side="right"))
         if j == i:  # one row longer than a block
-            size, lo, mi = int(lengths[i]), int(n_lo[i]), int(m[i])
-            if len(buf) < size:
-                buf = np.empty(size)
-            row = buf[:size]
-            spans = [(a, min(a + CHUNK_SIZE, size)) for a in range(0, size, CHUNK_SIZE)]
-            for a, b in spans:
-                row[a:b] = _values(g, np.arange(mi * (lo + a), mi * (lo + b), mi, dtype=np.int64))
-            p_sums[i] = add(row)
-            for a, b in spans:
-                row[a:b] *= weight(np.arange(lo + a, lo + b, dtype=np.int64))
-            w_sums[i] = add(row)
+            p_sums[i], w_sums[i] = _long_row(g, weight, int(m[i]), int(n_lo[i]),
+                                             int(lengths[i]))
             j = i + 1
         else:
             rows = lengths[i:j]
@@ -198,6 +187,29 @@ def _pair_sums(plain: np.ndarray, weighted: np.ndarray, m: np.ndarray, n_lo: np.
         i = j
     return (math.fsum((plain * p_sums)[plain != 0.0].tolist()),
             math.fsum((weighted * w_sums)[weighted != 0.0].tolist()))
+
+
+def _long_row(g, weight, m: int, lo: int, size: int):
+    """(P, W) of the row n = lo .. lo + size - 1: the np.add.reduce of
+    g(m n) and of g(m n) weight(n), without holding the row.
+
+    np.add.reduce sums a contiguous float64 array pairwise: a part of more
+    than 128 entries is split at n2 = size // 2 rounded down to a multiple
+    of 8, and its sum is that of the first n2 entries plus that of the rest.
+    The same split is followed down to parts of at most CHUNK_SIZE entries,
+    and each such leaf evaluates g and its weight once and is reduced by
+    np.add.reduce itself, so both sums keep the bits of the whole-row
+    reduction (test_long_row_split_matches_reduce pins that behaviour)."""
+    if size <= CHUNK_SIZE:
+        vals = _values(g, np.arange(m * lo, m * (lo + size), m, dtype=np.int64))
+        p = np.add.reduce(vals)
+        vals *= weight(np.arange(lo, lo + size, dtype=np.int64))
+        return p, np.add.reduce(vals)
+    half = size // 2
+    half -= half % 8
+    p1, w1 = _long_row(g, weight, m, lo, half)
+    p2, w2 = _long_row(g, weight, m, lo + half, size - half)
+    return p1 + p2, w1 + w2
 
 
 def _log(n: np.ndarray) -> np.ndarray:

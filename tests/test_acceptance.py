@@ -5,6 +5,8 @@ criterion.  Each test restates its threshold inline; sizes and tolerances
 here are contractual, so they must not be loosened to make a failing run
 green."""
 
+import functools
+import hashlib
 import math
 import time
 from fractions import Fraction as F
@@ -12,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from expsumlab import bilinear_sieve as bs
+from expsumlab import cli_harness
 from expsumlab import expsum_eval as ee
 from expsumlab import floor_mangoldt as fm
 from expsumlab import suites
@@ -30,16 +33,33 @@ def _green(result):
     assert result.passed, result.failures[:5]
 
 
-def test_c01_vaaler_majorant_battery():
+@functools.cache
+def _battery(name):
+    """The suite results of the CLI's default battery `name`, built once,
+    and the seconds the build took."""
     t0 = time.perf_counter()
-    result = suites.vaaler_suite(seed=0, count=10 ** 5, h_max=200)
-    elapsed = time.perf_counter() - t0
+    results = {
+        "sieve": lambda: [suites.sieve_suite(seed=0)],
+        "psi": lambda: [suites.vaaler_suite(seed=0, count=10 ** 5, h_max=200)],
+        "dls": lambda: [suites.lemma21_suite(seed=0, count=1000, max_points=50),
+                        suites.dls_suite(seed=0, count=1000)],
+        "expsum": lambda: [suites.expsum_regression_suite()],
+        "dio": lambda: [suites.dio_suite(seed=0)],
+        "vaughan": lambda: [suites.vaughan_suite(seed=0, d_values=(101, 1000, 10000))],
+        "msum": lambda: [suites.msum_suite(seed=0, random_count=20)],
+        "fit": lambda: [suites.fit_suite(lo=10 ** 4, hi=10 ** 9, points=12, slope_cap=0.60)],
+    }[name]()
+    return results, time.perf_counter() - t0
+
+
+def test_c01_vaaler_majorant_battery():
+    (result,), elapsed = _battery("psi")
     _green(result)
     assert elapsed < 10.0, f"vaaler battery took {elapsed:.2f}s, budget 10s"
 
 
 def test_c02_exact_kernel_battery():
-    result = suites.lemma21_suite(seed=0, count=1000, max_points=50)
+    result = _battery("dls")[0][0]
     _green(result)
     for row in result.rows:
         assert row.lhs <= row.rhs * (1 + 1e-9)
@@ -50,7 +70,7 @@ def test_c03_dispersion_constant_battery():
     # documented derivation in bilinear_sieve.dls_proof_constant
     assert bs.dls_proof_constant(2.0) == pytest.approx(3.0 * math.pi ** 2)
     assert bs.dls_proof_constant(10.0) == pytest.approx(5.0 * math.pi ** 2)
-    result = suites.dls_suite(seed=0, count=1000)
+    result = _battery("dls")[0][1]
     _green(result)
 
 
@@ -59,12 +79,12 @@ def test_c04_diophantine_counts():
     assert dio_report("B1", H=2, M=2, alpha=1.0, beta=1.0, X=100.0).count == 6
     # doubling ladders with slack <= 4 and endpoint == scan agreement
     assert suites.DIO_SLACK == 4.0
-    result = suites.dio_suite(seed=0)
+    (result,), _ = _battery("dio")
     _green(result)
 
 
 def test_c05_decomposition_identity():
-    result = suites.vaughan_suite(seed=0, d_values=(101, 1000, 10000))
+    (result,), _ = _battery("vaughan")
     _green(result)
 
 
@@ -85,7 +105,7 @@ def test_c06_exact_exponent_identities():
 
 def test_c07_floor_sum_evaluators():
     assert fm.s_lambda_direct(10) == pytest.approx(math.log(60.0), abs=1e-12)
-    result = suites.msum_suite(seed=0, random_count=20)
+    (result,), _ = _battery("msum")
     _green(result)
 
 
@@ -96,9 +116,7 @@ def test_c08_main_constant_tail():
 
 
 def test_c09_error_curve_slope():
-    t0 = time.perf_counter()
-    result = suites.fit_suite(lo=10 ** 4, hi=10 ** 9, points=12, slope_cap=0.60)
-    elapsed = time.perf_counter() - t0
+    (result,), elapsed = _battery("fit")
     _green(result)
     point_rows = [r for r in result.rows if r.case.startswith("point_x")]
     assert len(point_rows) >= 10
@@ -109,7 +127,7 @@ def test_c09_error_curve_slope():
 
 def test_c10_triple_sum_regression():
     assert suites.REGRESSION_DRIFT == 10.0
-    result = suites.expsum_regression_suite()
+    (result,), _ = _battery("expsum")
     _green(result)
 
 
@@ -148,3 +166,42 @@ def test_c11_deterministic_reports():
     for name, kernel in kernels.items():
         one, two, eight = (kernel(w) for w in (1, 2, 8))
         assert one == two == eight, name
+
+
+# The first 8 hex digits of the sha256 of the CLI's stdout: for each default
+# battery (`expsumlab <battery>`), and for three single runs.  An intended
+# output change edits its line here and names it in CHANGES.md.
+CSV_SHA256 = {
+    "sieve": "31d72e92",
+    "psi": "85a1d09d",
+    "dls": "c19fda55",
+    "expsum": "262182e9",
+    "dio": "1ce56059",
+    "vaughan": "bb2326b7",
+    "msum": "2307648c",
+    "fit": "d135a25a",
+    "frak-s --x 12345.6 --d 1000 --delta 0.5": "92110c79",
+    "vaughan --d-list 300007": "da7914da",
+    "dio --kind B2 --N 8 --X 8": "ecfbd2e2",
+}
+
+
+def test_c12_byte_contract(capsys):
+    """Every default battery's CSV and three single runs keep their bytes.
+
+    A battery's CSV is rows_to_csv of the rows the tests above build, which
+    is what the CLI prints; a single run is the CLI's stdout.  The pins hold
+    with numpy 2.4.6 on x86-64; whether other machines or numpy versions
+    print the same bytes is untested."""
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:8]
+
+    got = {}
+    for run in CSV_SHA256:
+        if " " in run:
+            assert cli_harness.main(run.split()) == 0, run
+            got[run] = digest(capsys.readouterr().out)
+        else:
+            rows = [row for result in _battery(run)[0] for row in result.rows]
+            got[run] = digest(rows_to_csv(rows))
+    assert got == CSV_SHA256

@@ -350,6 +350,17 @@ def test_lwy_hand_value_and_rejections():
         bound_value(deep, "lwy")
 
 
+def test_lwy_first_term_past_a_double():
+    # M^(5/2) overflows a double although every power the instance checks,
+    # and thm1, are finite; the cube root of the first term is taken by logs
+    inst = ExpSumInstance(H=1, M=10 ** 130, N=1, X=2.0, alpha=1.0, beta=1.0, gamma=1.0,
+                          coeff_a=constant_coeff_a(), coeff_b=constant_coeff_b())
+    assert math.isfinite(bound_value(inst, "thm1"))
+    first = 2.0 ** (1.0 / 6.0) * 10.0 ** (325.0 / 3.0)
+    want = (first + 1e130 + 1e65 + 1e130 / 2.0 ** 0.5) * 2.0 ** inst.epsilon
+    assert bound_value(inst, "lwy") == pytest.approx(want, rel=1e-12)
+
+
 def test_bound_name_validation():
     with pytest.raises(ValueError):
         bound_value(_inst(), "nope")

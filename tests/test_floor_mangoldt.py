@@ -11,6 +11,7 @@ from expsumlab import floor_mangoldt as fm
 from expsumlab.arith_core import chunked_tree_sum, mangoldt_point, sieve_mangoldt
 from expsumlab.errors import QUOTIENT_GUARD, CapacityError, DegenerateFitError
 from expsumlab.seeding import DetRand
+from expsumlab.vaughan_decomp import frak_s_decomposed
 
 
 def test_direct_hand_values():
@@ -105,10 +106,10 @@ def test_capacity_reaches_segment_sieve(monkeypatch):
 
     def counted(lo, hi):
         segments.append((lo, hi))
-        return arith_core.segment_sieve(lo, hi)
+        return arith_core.segment_support(lo, hi)
 
     monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT_CAPACITY", 1000)
-    monkeypatch.setattr(fm, "segment_sieve", counted)
+    monkeypatch.setattr(fm, "segment_support", counted)
     got_c = fm.main_constant(10 ** 4).value
     assert len(segments) == 10
     got_s = fm.frak_s(12345.6, 3000, 0.5)
@@ -321,17 +322,48 @@ def test_windows_and_direct_bitwise_whole_array():
 
 
 def test_summands_stay_chunk_sized(peak_traced_bytes):
-    # the sieve table (8 bytes an entry) is the one full-length array; a
-    # full-length temporary of the summands would add 8 bytes or more
-    T = 2 * 10 ** 6
-    assert peak_traced_bytes(lambda: fm.main_constant(T)) < 12 * T
-    assert peak_traced_bytes(lambda: fm.frak_s(8.8e6, 10 ** 6, 0.5)) < 12 * 10 ** 6
+    # the sieved sums hold the support of Lambda, one 2^20-integer piece at
+    # a time, and the six-table split sums its long rows leaf by leaf; a
+    # dense piece of Lambda alone is 8 MiB, as is the m = 1 row at 10^6
+    mib = 2 ** 20
+    assert peak_traced_bytes(lambda: fm.main_constant(10 ** 7)) < 3 * mib
+    assert peak_traced_bytes(lambda: fm.frak_s(12440585.06, 10 ** 6, 1.0)) < 3 * mib
+    assert peak_traced_bytes(lambda: frak_s_decomposed(12440585.06, 10 ** 6, 1.0)) < 6 * mib
     # the direct sum holds one piece of Lambda (8 bytes an entry) at a time,
     # not the 80 MB of Lambda on [1, DIRECT_LIMIT]
     assert peak_traced_bytes(lambda: fm.s_lambda_direct(fm.DIRECT_LIMIT)) < 16 * fm._PIECE
     # the blocked sum builds one n chunk of Lambda([x/n]) at a time; all
     # isqrt(x) of them with their quotients would peak at 14.7 MiB
     assert peak_traced_bytes(lambda: fm.s_lambda_blocked(10 ** 11)) < 8 * 2 ** 20
+
+
+def test_sieved_sum_matches_dense_path(monkeypatch):
+    # each of the three terms _sieved_sum is called with (the constant's,
+    # the sawtooth windows' and the blocked sum's multiplicity weight), over
+    # ranges that cross segment, piece and chunk bounds, against the dense
+    # form that evaluates the term on every entry of each segment
+    sieved = fm._sieved_sum
+    calls = []
+
+    def checked(lo, hi, term, workers=1):
+        got = sieved(lo, hi, term, workers)
+        assert got.hex() == _sieved_whole_array(lo, hi, term).hex(), (lo, hi)
+        calls.append((lo, hi))
+        return got
+
+    monkeypatch.setattr(fm, "_sieved_sum", checked)
+    monkeypatch.setattr(fm, "_PIECE", 2 * fm.CHUNK_SIZE)
+    monkeypatch.setattr(arith_core, "DEFAULT_SEGMENT_CAPACITY", 300007)
+    fm.main_constant(10 ** 6 + 3)
+    fm.main_constant(65537, workers=2)
+    for delta in (0.0, 0.5, 1.0):
+        fm.frak_s(7.3e6, 350001, delta)
+        fm.r_delta(2.0e6 + 0.5, 3.0, delta)
+    fm.s_lambda_blocked(10 ** 11)
+    fm.s_lambda_blocked(10 ** 11 + 7, workers=2)
+    # (887, 906] holds no prime power: every term is zero, and the sum +0.0
+    assert fm.r_delta(906 * 887 + 0.5, 887.0).hex() == "0x0.0p+0"
+    assert len(calls) == 11
 
 
 def test_psi_window_precision_guard():

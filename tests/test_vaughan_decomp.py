@@ -209,6 +209,23 @@ def test_2d_reduce_matches_row_reduce():
             assert [v.hex() for v in out[1:]] == want, (L, k)
 
 
+def test_long_row_split_matches_reduce():
+    # a row longer than a block is summed leaf by leaf along numpy's own
+    # pairwise split; both sums must keep the bits of np.add.reduce over the
+    # whole row, which holds while numpy reduces a contiguous float64 array
+    # pairwise in one pass (numpy 2.4)
+    rng = np.random.default_rng(29)
+    top = 4 * 10 ** 6
+    data = rng.standard_normal(top + 999) * 10.0 ** rng.integers(-6, 7, top + 999)
+    weights = rng.uniform(0.5, 2.0, top + 999)
+    for size in (65537, 65544, 131073, 524295, top, *rng.integers(65538, top, 3).tolist()):
+        lo = int(rng.integers(1, 1000))
+        vals = data[lo:lo + size]
+        p, w = vd._long_row(data.take, weights.take, 1, lo, size)
+        assert p.hex() == np.add.reduce(vals).hex(), size
+        assert w.hex() == np.add.reduce(vals * weights[lo:lo + size]).hex(), size
+
+
 @pytest.mark.parametrize("D", [101, 2000, 10 ** 6])
 def test_alpha4_is_one(D):
     # S3 sums its plain row values: its weight alpha4 must be exactly 1
