@@ -6,8 +6,9 @@ and values of its nonzero entries, all marking composites
 with one blocked loop over the odd integers, whose multiples of 3, 5, 7, 11
 and 13 come stamped from a wheel pattern; Mangoldt values at sorted
 integers, pointwise prime-power detection good to 2^64, the centered
-fractional part, and a deterministic chunked summation scheme whose result
-is bit-identical for any worker count.
+fractional part, the unit phase e(theta) of a phase reduced mod 1, and a
+deterministic chunked summation scheme whose result is bit-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -91,6 +92,17 @@ def psi_frac_many(t) -> np.ndarray:
     np.subtract(t, out, out=out)
     out -= 0.5
     return out
+
+
+def unit_phases(theta: np.ndarray) -> np.ndarray:
+    """e(theta) = exp(2 pi i theta) at every entry of theta, a float64
+    array the caller owns: it is reduced mod 1 in place first, so the
+    exponential sees a phase in [0, 1] and an integer phase gives exactly
+    1.  Callers bound the peak |theta| with errors.check_phase."""
+    theta -= np.floor(theta)
+    z = np.multiply(2j * np.pi, theta)
+    np.exp(z, out=z)
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith_core import chunked_tree_sum
+from .arith_core import chunked_tree_sum, unit_phases
 from .diophantine_count import phi_pair_table, psi_single_table, sup_distance_blocks
-from .errors import COEFF_TOL, RejectedInstanceError, TabulationMismatchError, check_peak
+from .errors import (COEFF_TOL, RejectedInstanceError, TabulationMismatchError, check_peak,
+                     check_phase)
 from .reports import ReportRow
 
 _ROW_CHUNK = 16
@@ -90,17 +91,19 @@ class FunctionFamily:
 
 def bilinear_form(family: FunctionFamily, points: PointSet, workers: int = 1) -> complex:
     """sum_j sum_i a_j b_i e(table[j,i] * y_i), deterministically chunked
-    over member rows."""
+    over member rows.  Each phase is reduced mod 1 before exp; a run whose
+    phase bound X * Y exceeds 2^46 is refused first, like eval_exp_sum's."""
     if family.table.shape[1] != len(points):
         raise TabulationMismatchError(
             f"family tabulated over {family.table.shape[1]} points, "
             f"point set has {len(points)}"
         )
+    check_phase(family.X * points.Y, "phase")
     y = points.points
     b = points.coeffs
 
     def chunk(lo, hi):
-        phases = np.exp(2j * np.pi * (family.table[lo:hi] * y[np.newaxis, :]))
+        phases = unit_phases(family.table[lo:hi] * y[np.newaxis, :])
         return (family.coeffs[lo:hi, np.newaxis] * b[np.newaxis, :] * phases).sum()
 
     return complex(chunked_tree_sum(len(family), chunk, _ROW_CHUNK, workers))

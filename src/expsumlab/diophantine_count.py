@@ -125,9 +125,7 @@ def sup_distance_blocks(hi: np.ndarray, lo: np.ndarray):
 def _scan_ms(spec: PerturbationSpec, mode: str) -> np.ndarray:
     if mode == "endpoint":
         # mu is monotone in m, every member is monotone in mu, so integer
-        # extrema sit at the block endpoints
-        if spec.M + 1 == 2 * spec.M:
-            return np.array([spec.M + 1], dtype=np.int64)
+        # extrema sit at the block endpoints (at M = 1 both are m = 2)
         return np.array([spec.M + 1, 2 * spec.M], dtype=np.int64)
     # scan: every integer m of the block
     return np.arange(spec.M + 1, 2 * spec.M + 1, dtype=np.int64)

@@ -10,8 +10,8 @@ import numpy as np
 
 COEFF_TOL = 1e-9  # slack on the unit-modulus bound of a coefficient
 # the largest double reduced mod 1, by a sawtooth window's quotient x/(d+delta)
-# or by eval_exp_sum's phase: at 2^46 a double keeps 6 bits of the fractional
-# part, beyond it the reduction is rounding noise
+# or by the phase of eval_exp_sum or bilinear_form: at 2^46 a double keeps 6
+# bits of the fractional part, beyond it the reduction is rounding noise
 QUOTIENT_GUARD = 2.0 ** 46
 
 
@@ -26,9 +26,10 @@ def check_peak(values, bound: float, what: str) -> None:
 
 def check_phase(peak: float, what: str) -> None:
     """Refuse a run whose largest value reduced mod 1 (what names it: a
-    sawtooth window's quotient or a triple sum's phase) is not within
-    QUOTIENT_GUARD, rather than sum values the double cannot resolve.  A
-    NaN peak, from an overflowed inf/inf, is refused too."""
+    sawtooth window's quotient, a triple sum's phase, or a bilinear form's
+    phase phi(y) * y, bounded by X * Y) is not within QUOTIENT_GUARD,
+    rather than sum values the double cannot resolve.  A NaN peak, from an
+    overflowed inf/inf, is refused too."""
     if not peak <= QUOTIENT_GUARD:
         raise CapacityError(f"peak {what} {peak:.3g} exceeds the precision guard 2^46")
 

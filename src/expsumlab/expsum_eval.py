@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith_core import chunk_partials, tree_reduce
+from .arith_core import chunk_partials, tree_reduce, unit_phases
 from .errors import (COEFF_TOL, CapacityError, RejectedInstanceError, check_peak, check_phase,
                      require_integer)
 from .seeding import DetRand, pair_uniform
@@ -183,10 +183,7 @@ def eval_exp_sum(inst: ExpSumInstance, workers: int = 1) -> complex:
         def block_sum(ih, _):
             h = H + 1 + ih
             a_row = _checked_coeffs(inst.coeff_a(h, m[s:e]), f"coeff_a at h={h}")
-            theta = c0 * float(h) ** inst.alpha / den
-            theta -= np.floor(theta)
-            z = np.multiply(2j * np.pi, theta)
-            np.exp(z, out=z)
+            z = unit_phases(c0 * float(h) ** inst.alpha / den)
             if keep is None:
                 term = z
             else:
@@ -257,13 +254,13 @@ def bound_value(inst: ExpSumInstance, which) -> float:
 def unimodular_coeff_a(key: int):
     """(h, m) -> e(u) with u a pure function of (key, h, m)."""
     def fn(h, m):
-        return np.exp(2j * np.pi * pair_uniform(key, h, m))
+        return unit_phases(pair_uniform(key, h, m))
     return fn
 
 
 def unimodular_coeff_b(key: int):
     def fn(n):
-        return np.exp(2j * np.pi * pair_uniform(key, 0, n))
+        return unit_phases(pair_uniform(key, 0, n))
     return fn
 
 

@@ -174,7 +174,7 @@ def test_c11_deterministic_reports():
 CSV_SHA256 = {
     "sieve": "31d72e92",
     "psi": "85a1d09d",
-    "dls": "c19fda55",
+    "dls": "8bf61da0",
     "expsum": "262182e9",
     "dio": "1ce56059",
     "vaughan": "bb2326b7",

@@ -6,7 +6,7 @@ import pytest
 
 from expsumlab import bilinear_sieve as bs
 from expsumlab.diophantine_count import PerturbationSpec
-from expsumlab.errors import RejectedInstanceError, TabulationMismatchError
+from expsumlab.errors import CapacityError, RejectedInstanceError, TabulationMismatchError
 from expsumlab.seeding import DetRand
 
 
@@ -40,6 +40,29 @@ def test_bilinear_form_single_entry():
     fam = bs.FunctionFamily(table=np.array([[0.25]]), coeffs=np.array([1.0]), X=1.0)
     got = bs.bilinear_form(fam, pts)
     assert got == pytest.approx(1j, abs=1e-14)
+
+
+def _one_pair(y, phi):
+    pts = bs.PointSet(points=np.array([y]), coeffs=np.array([1.0]), Y=y)
+    fam = bs.FunctionFamily(table=np.array([[phi]]), coeffs=np.array([1.0]), X=1.0)
+    return fam, pts
+
+
+def test_bilinear_form_refuses_phases_past_the_guard():
+    # 2^60 * 0.3 is an exact integer, so the true term is 1, but at that
+    # size a double keeps no fractional bit of the phase: refuse, as
+    # eval_exp_sum does
+    fam, pts = _one_pair(2.0 ** 60, 0.3)
+    with pytest.raises(CapacityError, match="peak phase"):
+        bs.bilinear_form(fam, pts)
+    with pytest.raises(CapacityError, match="peak phase"):
+        bs.dls_check(fam, pts, K=1.0)
+
+
+def test_bilinear_form_integer_phase_is_exactly_one():
+    # 2^40 * 0.75 is an integer: the phase reduces to 0 before exp
+    fam, pts = _one_pair(2.0 ** 40, 0.75)
+    assert bs.bilinear_form(fam, pts) == 1 + 0j
 
 
 def test_bilinear_form_constant_member_factorizes():

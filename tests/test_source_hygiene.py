@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 reads a private name of another package module, imports a package module
 inside a function, defines a public name that neither the package nor
-the benchmark reads, or caches a function other than best_constant."""
+the benchmark reads, caches a function other than best_constant, or takes
+numpy's exp outside the phase block arith_core.unit_phases."""
 
 import ast
 from pathlib import Path
@@ -287,3 +288,43 @@ def test_only_best_constant_is_cached():
     found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
              for name in cached_functions(p.read_text())]
     assert found == ["floor_mangoldt.best_constant"]
+
+
+def numpy_exp_sites(source: str) -> list:
+    """(function, line) of every read of numpy's exp: np.exp or numpy.exp,
+    called or not, and a from-import of it; function is the innermost
+    enclosing def, "<module>" at top level."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == "exp"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+              or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+              and any(alias.name == "exp" for alias in node.names)):
+            found.append((fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_sees_numpy_exp_sites():
+    source = ("import cmath\nimport numpy as np\nfrom numpy import exp, log\n"
+              "def f(t):\n    def g(u):\n        return np.exp(u)\n"
+              "    return g(t) + cmath.exp(t) + np.expm1(t)\n"
+              "h = list(map(np.exp, [0.0]))\n"
+              "class C:\n    def m(self, z):\n        return np.exp(z, out=z)\n")
+    assert numpy_exp_sites(source) == [("<module>", 3), ("g", 6), ("<module>", 8),
+                                       ("m", 11)]
+
+
+def test_numpy_exp_only_in_the_phase_block():
+    # one rule turns a float phase into e(theta): reduce mod 1 in place,
+    # then exp; a second numpy exp would be a second rule
+    stray = [f"{p.name}:{line} in {fn}" for p in sorted(SRC.glob("*.py"))
+             for fn, line in numpy_exp_sites(p.read_text())
+             if (p.stem, fn) != ("arith_core", "unit_phases")]
+    assert stray == []
