@@ -96,11 +96,13 @@ def psi_frac_many(t) -> np.ndarray:
 
 def unit_phases(theta: np.ndarray) -> np.ndarray:
     """e(theta) = exp(2 pi i theta) at every entry of theta, a float64
-    array the caller owns: it is reduced mod 1 in place first, so the
-    exponential sees a phase in [0, 1] and an integer phase gives exactly
-    1.  Callers bound the peak |theta| with errors.check_phase."""
+    array the caller owns, or a float (giving a 0-d array): it is reduced
+    mod 1 in place first, so the exponential sees a phase in [0, 1] and an
+    integer phase gives exactly 1.  Callers (the triple sum, the bilinear
+    form, the unimodular coefficients and the Vaaler approximant) bound the
+    peak |theta| with errors.check_phase."""
     theta -= np.floor(theta)
-    z = np.multiply(2j * np.pi, theta)
+    z = np.multiply(2j * np.pi, theta, out=np.empty(np.shape(theta), np.complex128))
     np.exp(z, out=z)
     return z
 

@@ -26,8 +26,9 @@ def check_peak(values, bound: float, what: str) -> None:
 
 def check_phase(peak: float, what: str) -> None:
     """Refuse a run whose largest value reduced mod 1 (what names it: a
-    sawtooth window's quotient, a triple sum's phase, or a bilinear form's
-    phase phi(y) * y, bounded by X * Y) is not within QUOTIENT_GUARD,
+    sawtooth window's quotient, a triple sum's phase, a bilinear form's
+    phase phi(y) * y, bounded by X * Y, or the Vaaler approximant's largest
+    multiple of its reduced point) is not within QUOTIENT_GUARD,
     rather than sum values the double cannot resolve.  A NaN peak, from an
     overflowed inf/inf, is refused too."""
     if not peak <= QUOTIENT_GUARD:

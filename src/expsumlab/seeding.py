@@ -31,9 +31,11 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z + np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    # the uint64 wraparound is the mixer; numpy warns of it on scalars only
+    with np.errstate(over="ignore"):
+        z = (z + np.uint64(_GOLDEN))
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 

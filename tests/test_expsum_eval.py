@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from expsumlab.expsum_eval import (
     unimodular_coeff_a,
     unimodular_coeff_b,
 )
+from expsumlab.seeding import pair_uniform
 from expsumlab.vaughan_decomp import alpha_tables
 
 
@@ -79,6 +81,17 @@ def test_matches_naive_oracle_with_clip():
 def test_single_term_unimodular():
     inst = _inst(H=1, M=1, N=1, delta=0.0, K=1.0)
     assert abs(abs(eval_exp_sum(inst)) - 1.0) <= 1e-12
+
+
+def test_unimodular_coefficients_take_scalars():
+    # a scalar call is the array call's entry, with no wraparound warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unimodular_coeff_a(5)(3, 7).tobytes() == \
+            unimodular_coeff_a(5)(np.array([3]), np.array([7]))[0].tobytes()
+        assert unimodular_coeff_b(5)(4).tobytes() == \
+            unimodular_coeff_b(5)(np.array([4]))[0].tobytes()
+        assert pair_uniform(5, 3, 7) == pair_uniform(5, np.array([3]), np.array([7]))[0]
 
 
 def test_conjugate_coefficients_give_count():

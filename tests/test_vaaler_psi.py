@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab.arith_core import psi_frac_many
+from expsumlab import vaaler_psi
+from expsumlab.arith_core import psi_frac_many, unit_phases
+from expsumlab.errors import CapacityError
 from expsumlab.vaaler_psi import (
     error_majorant_many,
     psi_approx_many,
@@ -90,21 +92,64 @@ def test_psi_approx_odd_and_periodic():
         assert np.allclose(psi_approx_many(xs + 1.0, H), a, atol=1e-12)
 
 
+def _fixed_point_oracle(xs, H):
+    """-sum_h c_h Im e(h x) over the same float coefficients c_h: e(x) to
+    40 digits by mpmath, the polynomial by Horner's rule in 160-bit fixed
+    point (exact integers; every c_h >= 2^-148 is exact there too)."""
+    mpmath = pytest.importorskip("mpmath")
+    P = 160
+    c = [int(mpmath.mpf(float(v)) * 2 ** P) for v in vaaler_coefficients(H)]
+    with mpmath.workdps(40):
+        zs = [mpmath.expjpi(2 * mpmath.mpf(float(x))) for x in xs]
+        zr = np.array([int(z.real * 2 ** P) for z in zs], dtype=object)
+        zi = np.array([int(z.imag * 2 ** P) for z in zs], dtype=object)
+    a = np.zeros(len(xs), dtype=object)
+    b = np.zeros(len(xs), dtype=object)
+    for ch in reversed(c):  # a + ib <- (a + ib) z + c_h
+        a, b = ((a * zr - b * zi) >> P) + ch, (a * zi + b * zr) >> P
+    return np.array([-v / 2 ** P for v in (a * zi + b * zr) >> P])
+
+
 @pytest.mark.parametrize("H", [1, 7, 257, 999])
-def test_psi_approx_in_place_keeps_bits(H):
-    # one matrix scaled and sined in place, against the expression with
-    # fresh temporaries; the matvec is never split, so its rounding stays
+def test_psi_approx_error_within_old_expression(H):
+    # the two-level split against the retired sine matrix, both measured
+    # against a 40-digit sum; integer x gives exactly +-0
     xs = np.random.default_rng(H).uniform(-1.0, 2.0, 2000)
     xs[::10] = np.round(xs[::10])
+    want = _fixed_point_oracle(xs, H)
     h = np.arange(1, H + 1, dtype=np.float64)
-    want = -np.sin(2.0 * np.pi * np.outer(xs, h)) @ vaaler_coefficients(H)
-    assert psi_approx_many(xs, H).tobytes() == want.tobytes()
+    old = -np.sin(2.0 * np.pi * np.outer(xs, h)) @ vaaler_coefficients(H)
+    got = psi_approx_many(xs, H)
+    assert np.max(np.abs(got - want)) <= np.max(np.abs(old - want))
+    assert np.all(got[::10] == 0.0)
+    # the same bits again, and from a 2-D view of the same points
+    assert psi_approx_many(xs.reshape(40, 50), H).tobytes() == got.tobytes()
 
 
-def test_psi_approx_memory_is_one_matrix(peak_traced_bytes):
-    # 2000 x 999 doubles; fresh temporaries peaked at twice that
+@pytest.mark.parametrize("H", [1, 100, 999])
+def test_psi_approx_takes_2n_sqrt_h_phases(H, monkeypatch):
+    # n (B + K) unit phases, B = isqrt(H) + 1 and K = ceil((H + 1) / B)
+    seen = []
+
+    def counting(theta):
+        seen.append(theta.size)
+        return unit_phases(theta)
+
+    monkeypatch.setattr(vaaler_psi, "unit_phases", counting)
+    psi_approx_many(np.linspace(-1.0, 2.0, 300), H)
+    B = math.isqrt(H) + 1
+    assert sum(seen) == 300 * (B + -(-(H + 1) // B))
+
+
+def test_psi_approx_memory_is_two_phase_blocks(peak_traced_bytes):
+    # 2000 x 32 phases twice at H = 999; the sine matrix took 15.3 MiB
     xs = np.linspace(-1.0, 2.0, 2000)
-    assert peak_traced_bytes(lambda: psi_approx_many(xs, 999)) < 1.1 * 8 * 2000 * 999
+    assert peak_traced_bytes(lambda: psi_approx_many(xs, 999)) < 4 * 2 ** 20
+
+
+def test_psi_approx_refuses_phases_past_the_guard():
+    with pytest.raises(CapacityError, match="Vaaler phase"):
+        psi_approx_many([0.3], 2 ** 47)
 
 
 def test_majorant_frozen_values():
