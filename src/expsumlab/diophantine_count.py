@@ -90,19 +90,17 @@ def default_spec(kind: str, N: int, beta: float = 1.0,
                             kind="mu" if kind == "B2" else "nu")
 
 
-def phi_pair_table(N: int, gamma: float, spec: PerturbationSpec, ms) -> np.ndarray:
-    """Rows indexed by ordered (n_s, n_t) in (N,2N]^2 (n_s-major), columns by
-    the given m values."""
-    ms = np.asarray(ms, dtype=np.float64)
-    n = np.arange(N + 1, 2 * N + 1, dtype=np.float64)
-    recip = float(N) ** gamma / (n[:, np.newaxis] ** gamma + spec.values(ms)[np.newaxis, :])
-    return (recip[:, np.newaxis, :] - recip[np.newaxis, :, :]).reshape(N * N, len(ms))
-
-
 def psi_single_table(N: int, gamma: float, spec: PerturbationSpec, ms) -> np.ndarray:
     ms = np.asarray(ms, dtype=np.float64)
     n = np.arange(N + 1, 2 * N + 1, dtype=np.float64)
     return float(N) ** gamma / (n[:, np.newaxis] ** gamma + spec.values(ms)[np.newaxis, :])
+
+
+def phi_pair_table(N: int, gamma: float, spec: PerturbationSpec, ms) -> np.ndarray:
+    """Rows indexed by ordered (n_s, n_t) in (N,2N]^2 (n_s-major), columns by
+    the given m values: differences of psi_single_table's rows."""
+    r = psi_single_table(N, gamma, spec, ms)
+    return (r[:, np.newaxis, :] - r[np.newaxis, :, :]).reshape(N * N, r.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -237,13 +237,9 @@ def bound_value(inst: ExpSumInstance, which) -> float:
             f"{1.0 / inst.epsilon:.6g}"
         )
     k, lam = 0.5, 0.5  # the exponent pair (1/2, 1/2)
-    try:
-        first = (X ** k * H ** (2 + k) * M ** (2 + k) * N ** (1 + k + lam)) ** (1.0 / (2 + 2 * k))
-    except OverflowError:  # a float power past a double raises
-        first = math.inf
-    if math.isinf(first):  # the product overflowed, its root need not: take it by logs
-        first = math.exp((k * math.log(X) + (2 + k) * math.log(H * M)
-                          + (1 + k + lam) * math.log(N)) / (2 + 2 * k))
+    # the first term's root by logs: the product may pass a double, the root not
+    first = math.exp((k * math.log(X) + (2 + k) * math.log(H * M)
+                      + (1 + k + lam) * math.log(N)) / (2 + 2 * k))
     return (first + H * M * N ** 0.5 + (H * M) ** 0.5 * N + H * M * N / X ** 0.5) * X ** inst.epsilon
 
 

@@ -4,15 +4,14 @@ Counting n with [x/n] = d gives S(x) = sum_d Lambda(d)([x/d] - [x/(d+1)]),
 so S(x) = C x + fluctuation, where C = sum_d Lambda(d)/(d(d+1)) and the
 fluctuation is built from sawtooth sums sum Lambda(d) psi(x/(d+delta)) at
 the two shifts delta = 0, 1.  This module provides the direct and blocked
-evaluators, the constant with a certified tail bound, the windowed sawtooth
-sums, and a log-log slope fit of the error.
+evaluators, C as a literal and C(T) with a certified tail bound, the
+windowed sawtooth sums, and a log-log slope fit of the error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +37,11 @@ WINDOW_LIMIT = 10 ** 9
 # chunked_tree_sum's chunks, so a piece's partial in _sieved_sum is a whole
 # subtree of its segment's chunk tree
 _PIECE = 16 * CHUNK_SIZE
-DEFAULT_BEST_T = 10 ** 8
+# C = sum_d Lambda(d)/(d(d+1)) = sum_{k>=2} (-1)^k (-zeta'/zeta)(k), each
+# term being sum_{k>=2} (-1)^k Lambda(d) d^{-k}; C = 0.44984431306617305311...
+# and MAIN_CONSTANT, its nearest double, lies within MAIN_CONSTANT_ERROR of it
+MAIN_CONSTANT = 0.44984431306617305
+MAIN_CONSTANT_ERROR = 1e-16
 
 
 def _check_x(x) -> int:
@@ -236,9 +239,8 @@ def main_constant(T: int, workers: int = 1) -> MainConstant:
     return MainConstant(T=T, value=value, tail_bound=tail_bound(T))
 
 
-@lru_cache(maxsize=4)
-def best_constant(T: int = DEFAULT_BEST_T) -> MainConstant:
-    return main_constant(T)
+def best_constant() -> float:
+    return MAIN_CONSTANT
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +283,13 @@ def r_delta(x: float, E: float, delta: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class ErrorCurve:
-    """S(x) and E(x) = S(x) - C x on a grid, with the constant's tail bound
-    propagated into a per-point uncertainty band tail_bound * x."""
+    """S(x) and E(x) = S(x) - C x on a grid, with the constant's stated error
+    propagated into a per-point uncertainty band MAIN_CONSTANT_ERROR * x."""
 
     xs: tuple
     s_values: np.ndarray
     e_values: np.ndarray
     band: np.ndarray
-    constant: MainConstant
 
 
 def geometric_grid(lo: int = 10 ** 4, hi: int = 10 ** 9, points: int = 12):
@@ -300,15 +301,12 @@ def geometric_grid(lo: int = 10 ** 4, hi: int = 10 ** 9, points: int = 12):
     return tuple(xs)
 
 
-def error_curve(grid, constant: MainConstant | None = None) -> ErrorCurve:
-    if constant is None:
-        constant = best_constant()
+def error_curve(grid) -> ErrorCurve:
     xs = tuple(_check_x(x) for x in grid)
     s_vals = np.array([s_lambda_blocked(x) for x in xs])
-    e_vals = s_vals - constant.value * np.array(xs, dtype=np.float64)
-    band = constant.tail_bound * np.array(xs, dtype=np.float64)
-    return ErrorCurve(xs=xs, s_values=s_vals, e_values=e_vals, band=band,
-                      constant=constant)
+    e_vals = s_vals - MAIN_CONSTANT * np.array(xs, dtype=np.float64)
+    band = MAIN_CONSTANT_ERROR * np.array(xs, dtype=np.float64)
+    return ErrorCurve(xs=xs, s_values=s_vals, e_values=e_vals, band=band)
 
 
 @dataclass(frozen=True)
@@ -324,7 +322,7 @@ def fit_error_slope(curve: ErrorCurve, floor: float = 1.0) -> SlopeFit:
 
     Points where |E| does not exceed both the uncertainty band and the
     floor are excluded: their logarithm reflects cancellation noise or the
-    constant's truncation, not the growth rate."""
+    constant's error, not the growth rate."""
     lx, ly = [], []
     for x, e, b in zip(curve.xs, curve.e_values, curve.band):
         a = abs(float(e))

@@ -304,7 +304,7 @@ def fit_suite(lo: int = 10 ** 4, hi: int = 10 ** 9, points: int = 12,
     fit = fm.fit_error_slope(curve)
     rows.append(ReportRow("fit", "slope",
                           {"points": len(grid), "used": fit.used,
-                           "stderr": fit.slope_stderr, "T": curve.constant.T},
+                           "stderr": fit.slope_stderr},
                           fit.slope, slope_cap, fit.slope <= slope_cap))
     return _finish("fit", rows)
 

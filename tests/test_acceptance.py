@@ -179,7 +179,7 @@ CSV_SHA256 = {
     "dio": "1ce56059",
     "vaughan": "bb2326b7",
     "msum": "2307648c",
-    "fit": "d135a25a",
+    "fit": "89fdf476",
     "frak-s --x 12345.6 --d 1000 --delta 0.5": "92110c79",
     "vaughan --d-list 300007": "da7914da",
     "dio --kind B2 --N 8 --X 8": "ecfbd2e2",

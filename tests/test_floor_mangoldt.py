@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab import arith_core
+from expsumlab import arith_core, suites
 from expsumlab import floor_mangoldt as fm
 from expsumlab.arith_core import chunked_tree_sum, mangoldt_point, sieve_mangoldt
 from expsumlab.errors import QUOTIENT_GUARD, CapacityError, DegenerateFitError
@@ -156,11 +156,31 @@ def test_non_finite_x_and_t_refused():
     assert fm.main_constant(100.0).T == 100
 
 
-def test_best_constant_cached():
-    a = fm.best_constant(10 ** 4)
-    b = fm.best_constant(10 ** 4)
-    assert a is b
-    assert a.value == fm.main_constant(10 ** 4).value
+@pytest.mark.parametrize("T", [10 ** 6, 10 ** 7])
+def test_main_constant_brackets_literal(T):
+    # every term of C is positive, so C(T) <= C <= C(T) + tail_bound(T)
+    c = fm.main_constant(T)
+    lo = fm.MAIN_CONSTANT - fm.MAIN_CONSTANT_ERROR
+    hi = fm.MAIN_CONSTANT + fm.MAIN_CONSTANT_ERROR
+    assert c.value <= hi and lo <= c.value + c.tail_bound
+    assert fm.best_constant() == fm.MAIN_CONSTANT
+
+
+def test_main_constant_literal_matches_zeta_series():
+    # C = sum_{k>=2} (-1)^k (-zeta'/zeta)(k) at 40 digits.  The terms
+    # sum_n Lambda(n) n^{-k} fall with k and alternate in sign, so the
+    # first omitted term bounds the remainder.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        total, k = mpmath.mpf(0), 2
+        while True:
+            term = -mpmath.zeta(k, 1, 1) / mpmath.zeta(k)
+            if term < mpmath.mpf(10) ** -35:
+                break
+            total += (-1) ** k * term
+            k += 1
+        assert float(total) == fm.MAIN_CONSTANT
+        assert abs(total - mpmath.mpf(fm.MAIN_CONSTANT)) <= fm.MAIN_CONSTANT_ERROR
 
 
 def test_frak_s_hand_value():
@@ -409,12 +429,31 @@ def test_r_delta_validation():
 
 
 def test_error_curve_invariants():
-    const = fm.main_constant(10 ** 4)
-    curve = fm.error_curve((10 ** 4, 10 ** 5), constant=const)
+    curve = fm.error_curve((10 ** 4, 10 ** 5))
+    xs = np.array(curve.xs, dtype=np.float64)
     assert curve.xs == (10 ** 4, 10 ** 5)
-    assert np.allclose(curve.e_values,
-                       curve.s_values - const.value * np.array(curve.xs))
-    assert np.allclose(curve.band, const.tail_bound * np.array(curve.xs))
+    assert np.array_equal(curve.s_values, [fm.s_lambda_blocked(10 ** 4),
+                                           fm.s_lambda_blocked(10 ** 5)])
+    assert np.array_equal(curve.e_values, curve.s_values - fm.MAIN_CONSTANT * xs)
+    assert np.array_equal(curve.band, fm.MAIN_CONSTANT_ERROR * xs)
+
+
+def test_fit_sieves_no_constant(monkeypatch):
+    # the curve reads C as a literal: no C(T) sum, and _sieved_sum sieves
+    # nothing past each blocked S(x)'s multiplicity range [1, x // (isqrt(x) + 1)]
+    def refuse(*args, **kwargs):
+        raise AssertionError("main_constant called")
+
+    support = fm.segment_support
+
+    def bounded_support(lo, hi):
+        assert hi <= 10 ** 9 // (math.isqrt(10 ** 9) + 1), (lo, hi)
+        return support(lo, hi)
+
+    monkeypatch.setattr(fm, "main_constant", refuse)
+    monkeypatch.setattr(fm, "segment_support", bounded_support)
+    fm.error_curve((10 ** 4, 10 ** 6))
+    assert all(row.passed for row in suites.fit_suite().rows)
 
 
 def test_geometric_grid():
@@ -431,9 +470,8 @@ def test_geometric_grid():
 def _synthetic_curve(power, xs=(10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7)):
     xs_arr = np.array(xs, dtype=np.float64)
     e = xs_arr ** power
-    const = fm.MainConstant(T=2, value=0.0, tail_bound=0.0)
     return fm.ErrorCurve(xs=tuple(xs), s_values=e.copy(), e_values=e,
-                         band=np.zeros(len(xs)), constant=const)
+                         band=np.zeros(len(xs)))
 
 
 def test_fit_recovers_synthetic_slope():
@@ -455,8 +493,7 @@ def test_fit_band_exclusion():
     curve = _synthetic_curve(0.5)
     big_band = fm.ErrorCurve(xs=curve.xs, s_values=curve.s_values,
                              e_values=curve.e_values,
-                             band=np.full(len(curve.xs), 1e12),
-                             constant=curve.constant)
+                             band=np.full(len(curve.xs), 1e12))
     with pytest.raises(DegenerateFitError):
         fm.fit_error_slope(big_band)
 

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 reads a private name of another package module, imports a package module
 inside a function, defines a public name that neither the package nor
-the benchmark reads, caches a function other than best_constant, or takes
-numpy's exp outside the phase block arith_core.unit_phases."""
+the benchmark reads, caches any function, or takes numpy's exp outside
+the phase block arith_core.unit_phases."""
 
 import ast
 from pathlib import Path
@@ -282,12 +282,12 @@ def test_scan_sees_cached_functions():
     assert cached_functions(source) == ["a", "b", "c", "f"]
 
 
-def test_only_best_constant_is_cached():
-    # a cache stays only where it pays: best_constant's spares each fit a
-    # 10^8 sieve
+def test_nothing_is_cached():
+    # no cache pays here: the one that did spared each fit a 10^8 sieve,
+    # and C is now a literal
     found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
              for name in cached_functions(p.read_text())]
-    assert found == ["floor_mangoldt.best_constant"]
+    assert found == []
 
 
 def numpy_exp_sites(source: str) -> list:
